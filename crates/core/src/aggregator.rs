@@ -1,92 +1,29 @@
-//! The OmniReduce aggregator engine for reliable transports
-//! (Algorithm 1 with Block Fusion and parallel streams).
+//! The OmniReduce aggregator driver for reliable transports: Algorithm 1
+//! ([`crate::proto::AggMachine`]) on a protocol thread.
 //!
-//! One aggregator shard serves the streams assigned to it. Per stream it
-//! keeps one *slot*: for each fused column, an accumulator for the block
-//! currently being aggregated plus every worker's announced next non-zero
-//! block in that column. When, for every active column, the current block
-//! index is below the minimum of the workers' nexts, the slot is complete:
-//! the shard multicasts the aggregated row (with the new per-column
-//! requests — the global minima) to all workers, advances the columns,
-//! and resets the accumulators (Algorithm 1 lines 19–27).
+//! One aggregator shard serves the streams assigned to it. Per stream the
+//! machine keeps one *slot*: for each fused column, an accumulator for
+//! the block currently being aggregated plus every worker's announced
+//! next non-zero block in that column. When, for every active column, the
+//! current block index is below the minimum of the workers' nexts, the
+//! slot is complete: the shard multicasts the aggregated row (with the
+//! new per-column requests — the global minima) to all workers, advances
+//! the columns, and resets the accumulators (Algorithm 1 lines 19–27).
 //!
-//! The shard runs until every worker has sent a `Shutdown`.
+//! The driver is generic over the column arithmetic `A`: the f32
+//! [`ColAccumulator`] by default, fixed point for
+//! [`crate::switch::SwitchAggregator`]. The shard runs until every
+//! worker has sent a `Shutdown`.
 
 use omnireduce_telemetry::{Counter, FlightEventKind, FlightLane, LaneRole, Telemetry};
-use omnireduce_tensor::{BlockIdx, INFINITY_BLOCK};
 use omnireduce_transport::{
     BufferPool, Entry, Message, NodeId, Packet, PacketKind, Transport, TransportError,
 };
 
 use crate::config::OmniConfig;
-use crate::layout::StreamLayout;
-use crate::slot::ColAccumulator;
+use crate::proto::AggMachine;
+use crate::slot::{Accumulator, ColAccumulator};
 use crate::wire::{decode_next, encode_next};
-
-/// Sentinel for "worker has not announced a next yet" — the paper's −∞
-/// (Algorithm 1 line 18).
-const NEG_INFINITY: i64 = -1;
-
-/// Per-column slot state.
-struct ColSlot {
-    /// Block currently being aggregated ([`INFINITY_BLOCK`] once the
-    /// column is exhausted).
-    cur: BlockIdx,
-    /// Block accumulator (arrival-order or deterministic §7; buffers
-    /// reused in place across blocks and rounds — DESIGN §9).
-    acc: ColAccumulator,
-    /// Per-worker next non-zero block (−1 = not yet announced).
-    next_of: Vec<i64>,
-}
-
-impl ColSlot {
-    fn new(first: BlockIdx, num_workers: usize, deterministic: bool) -> Self {
-        ColSlot {
-            cur: first,
-            acc: ColAccumulator::new(num_workers, deterministic),
-            next_of: vec![NEG_INFINITY; num_workers],
-        }
-    }
-
-    /// Rearms the column for a new round, keeping every buffer.
-    fn reset(&mut self, first: BlockIdx) {
-        self.cur = first;
-        self.acc.reset();
-        self.next_of.fill(NEG_INFINITY);
-    }
-
-    fn active(&self) -> bool {
-        self.cur != INFINITY_BLOCK
-    }
-
-    /// min over workers of next_of; `None` while any worker is still at −∞.
-    fn min_next(&self) -> Option<BlockIdx> {
-        let mut min = i64::MAX;
-        for n in &self.next_of {
-            if *n == NEG_INFINITY {
-                return None;
-            }
-            min = min.min(*n);
-        }
-        Some(min as BlockIdx)
-    }
-
-    /// The completion condition of Algorithm 1 line 22:
-    /// `cur < min(next)` with −∞ blocking completion.
-    fn complete(&self) -> bool {
-        match self.min_next() {
-            Some(m) => {
-                (self.cur as i64) < m as i64 || m == INFINITY_BLOCK && self.cur != INFINITY_BLOCK
-            }
-            None => false,
-        }
-    }
-}
-
-/// Per-stream slot.
-struct Slot {
-    cols: Vec<Option<ColSlot>>,
-}
 
 /// Data-plane counters of one aggregator shard (observability for
 /// operators; also used by tests).
@@ -117,34 +54,24 @@ struct AggregatorCounters {
 }
 
 impl AggregatorCounters {
-    fn detached() -> Self {
+    fn new(telemetry: Option<&Telemetry>) -> Self {
+        let c = |name| telemetry.map_or_else(Counter::detached, |t| t.counter(name));
         AggregatorCounters {
-            packets: Counter::detached(),
-            blocks_received: Counter::detached(),
-            slots_completed: Counter::detached(),
-            rounds_completed: Counter::detached(),
-            results_sent: Counter::detached(),
-        }
-    }
-
-    fn registered(telemetry: &Telemetry) -> Self {
-        AggregatorCounters {
-            packets: telemetry.counter("core.aggregator.packets"),
-            blocks_received: telemetry.counter("core.aggregator.blocks_received"),
-            slots_completed: telemetry.counter("core.aggregator.slots_completed"),
-            rounds_completed: telemetry.counter("core.aggregator.rounds_completed"),
-            results_sent: telemetry.counter("core.aggregator.results_sent"),
+            packets: c("core.aggregator.packets"),
+            blocks_received: c("core.aggregator.blocks_received"),
+            slots_completed: c("core.aggregator.slots_completed"),
+            rounds_completed: c("core.aggregator.rounds_completed"),
+            results_sent: c("core.aggregator.results_sent"),
         }
     }
 }
 
 /// The aggregator shard engine.
-pub struct OmniAggregator<T: Transport> {
+pub struct OmniAggregator<T: Transport, A = ColAccumulator> {
     transport: T,
     cfg: OmniConfig,
-    layout: StreamLayout,
     shard: usize,
-    slots: Vec<Option<Slot>>, // indexed by stream; None if not ours
+    machine: AggMachine<A>,
     /// Workers that sent `Shutdown` (finished; excluded from multicasts).
     departed: Vec<bool>,
     goodbyes: usize,
@@ -154,64 +81,19 @@ pub struct OmniAggregator<T: Transport> {
     /// Protocol flight lane (no-op unless the registry's flight
     /// recorder is enabled).
     flight: FlightLane,
-    streams_open_this_round: usize,
     /// Freelists for result-packet buffers (checked out at completion,
     /// recycled after the multicast — DESIGN §9).
     pool: BufferPool,
-    /// Multicast destination scratch, refilled per completion.
-    workers_scratch: Vec<NodeId>,
 }
 
 impl<T: Transport> OmniAggregator<T> {
     /// Creates the engine for the shard whose node id matches the
     /// transport's.
     pub fn new(transport: T, cfg: OmniConfig) -> Self {
-        cfg.validate();
-        let node = transport.local_id().0 as usize;
-        assert!(
-            node >= cfg.num_workers && node < cfg.mesh_size(),
-            "transport node {node} is not an aggregator"
-        );
-        let shard = node - cfg.num_workers;
-        let layout = StreamLayout::new(
-            cfg.block_spec(),
-            cfg.fusion,
-            cfg.total_streams(),
-            cfg.tensor_len,
-        );
-        let slots = (0..layout.total_streams())
-            .map(|g| {
-                (cfg.shard_of_stream(g) == shard).then(|| Slot {
-                    cols: (0..layout.width())
-                        .map(|c| {
-                            layout
-                                .first_block(g, c)
-                                .map(|b0| ColSlot::new(b0, cfg.num_workers, cfg.deterministic))
-                        })
-                        .collect(),
-                })
-            })
-            .collect();
-        let departed = vec![false; cfg.num_workers];
-        let streams_open_this_round = (0..layout.total_streams())
-            .filter(|g| cfg.shard_of_stream(*g) == shard && layout.first_block(*g, 0).is_some())
-            .count();
-        let pool = BufferPool::for_block_size(cfg.block_size);
-        OmniAggregator {
-            transport,
-            cfg,
-            layout,
-            shard,
-            slots,
-            departed,
-            goodbyes: 0,
-            stats: AggregatorStats::default(),
-            counters: AggregatorCounters::detached(),
-            flight: FlightLane::disabled(),
-            streams_open_this_round,
-            pool,
-            workers_scratch: Vec::new(),
-        }
+        let (workers, deterministic) = (cfg.num_workers, cfg.deterministic);
+        Self::with_accumulators(transport, cfg, || {
+            ColAccumulator::new(workers, deterministic)
+        })
     }
 
     /// Like [`OmniAggregator::new`], but mirrors data-plane counters into
@@ -219,7 +101,7 @@ impl<T: Transport> OmniAggregator<T> {
     /// hit/miss counters under `transport.pool.aggregator.*`).
     pub fn with_telemetry(transport: T, cfg: OmniConfig, telemetry: &Telemetry) -> Self {
         let mut a = Self::new(transport, cfg);
-        a.counters = AggregatorCounters::registered(telemetry);
+        a.counters = AggregatorCounters::new(Some(telemetry));
         a.flight = telemetry.flight().lane(
             &format!("agg{}", a.shard),
             LaneRole::Aggregator,
@@ -228,6 +110,32 @@ impl<T: Transport> OmniAggregator<T> {
         a.pool =
             BufferPool::for_block_size(a.cfg.block_size).with_telemetry("aggregator", telemetry);
         a
+    }
+}
+
+impl<T: Transport, A: Accumulator> OmniAggregator<T, A> {
+    /// Creates the engine with one accumulator from `acc` per owned
+    /// column.
+    pub(crate) fn with_accumulators(transport: T, cfg: OmniConfig, acc: impl FnMut() -> A) -> Self {
+        cfg.validate();
+        let node = transport.local_id().0 as usize;
+        assert!(
+            node >= cfg.num_workers && node < cfg.mesh_size(),
+            "transport node {node} is not an aggregator"
+        );
+        let shard = node - cfg.num_workers;
+        OmniAggregator {
+            transport,
+            machine: AggMachine::new(&cfg, shard, acc),
+            shard,
+            departed: vec![false; cfg.num_workers],
+            goodbyes: 0,
+            stats: AggregatorStats::default(),
+            counters: AggregatorCounters::new(None),
+            flight: FlightLane::disabled(),
+            pool: BufferPool::for_block_size(cfg.block_size),
+            cfg,
+        }
     }
 
     /// Shard index of this aggregator.
@@ -262,7 +170,7 @@ impl<T: Transport> OmniAggregator<T> {
 
     fn handle_data(&mut self, p: Packet) -> Result<(), TransportError> {
         let g = p.slot as usize;
-        let width = self.layout.width();
+        let width = self.machine.layout().width();
         let blocks = p.entries.iter().filter(|e| !e.data.is_empty()).count() as u64;
         self.stats.packets += 1;
         self.stats.blocks_received += blocks;
@@ -280,81 +188,65 @@ impl<T: Transport> OmniAggregator<T> {
                 blocks,
             );
         }
-        let slot = self.slots[g]
-            .as_mut()
-            .unwrap_or_else(|| panic!("stream {g} not owned by shard"));
         for entry in &p.entries {
             let (col, next) = decode_next(entry.next, width);
-            let cs = slot.cols[col]
-                .as_mut()
-                .expect("data entry for invalid column");
+            let acc = self
+                .machine
+                .offer(g, p.wid as usize, col, entry.block, next);
             if !entry.data.is_empty() {
-                debug_assert_eq!(entry.block, cs.cur, "entry for wrong block");
-                debug_assert!(!cs.acc.has_contrib(p.wid as usize), "double contribution");
-                if !cs.acc.touched() {
+                if !acc.touched() {
                     // First contribution claims the column's slot.
                     self.flight.record(
                         FlightEventKind::SlotOccupy,
                         0,
-                        cs.cur as u64,
+                        entry.block as u64,
                         self.shard as u16,
                         p.wid,
                         col as u64,
                     );
                 }
-                // Copy into the accumulator's persistent buffers (no
+                // Reduce into the accumulator's persistent buffers (no
                 // per-block allocation; vectorized reduction kernel).
-                cs.acc.store(p.wid as usize, &entry.data);
+                acc.store(p.wid as usize, &entry.data);
             }
-            cs.next_of[p.wid as usize] = if next == INFINITY_BLOCK {
-                INFINITY_BLOCK as i64
-            } else {
-                next as i64
-            };
         }
-        self.check_completion(g)
+        if self.machine.is_complete(g) {
+            self.release(g)?;
+        }
+        Ok(())
     }
 
-    /// If every active column of stream `g` is complete, emit the result
-    /// and advance the slot.
-    fn check_completion(&mut self, g: usize) -> Result<(), TransportError> {
-        let width = self.layout.width();
-        let slot = self.slots[g].as_mut().expect("owned stream");
-        let all_complete = slot
-            .cols
-            .iter()
-            .flatten()
-            .filter(|c| c.active())
-            .all(|c| c.complete());
-        // `all` on an empty iterator is true — guard: nothing to do if no
-        // column is active (stream fully finished, awaiting next round).
-        let any_active = slot.cols.iter().flatten().any(|c| c.active());
-        if !any_active || !all_complete {
-            return Ok(());
-        }
-
+    /// Multicasts stream `g`'s completed row and advances the slot.
+    fn release(&mut self, g: usize) -> Result<(), TransportError> {
+        let width = self.machine.layout().width();
         // Build the result packet from pooled buffers (DESIGN §9): the
         // entry list and each payload come from the freelists and return
         // to them right after the multicast, so the steady state
         // allocates nothing.
         let mut entries = self.pool.checkout_entries();
-        let mut all_done = true;
-        for (col, cs) in slot.cols.iter_mut().enumerate() {
-            let Some(cs) = cs else { continue };
-            if !cs.active() {
-                continue;
-            }
-            let min_next = cs.min_next().expect("complete implies announced");
-            debug_assert!(cs.acc.touched(), "completed block with no data");
-            let mut data = self.pool.checkout_f32();
-            cs.acc.take_into(&mut data);
-            entries.push(Entry::data(cs.cur, encode_next(min_next, col, width), data));
-            cs.cur = min_next; // INFINITY_BLOCK deactivates the column
-            if min_next != INFINITY_BLOCK {
-                all_done = false;
+        let pool = &mut self.pool;
+        let round_done = self.machine.release(g, |r, acc| {
+            debug_assert!(acc.touched(), "completed block with no data");
+            let mut data = pool.checkout_f32();
+            acc.take_into(&mut data);
+            entries.push(Entry::data(
+                r.block,
+                encode_next(r.next, r.col, width),
+                data,
+            ));
+        });
+        if let Some(first) = entries.first() {
+            for kind in [FlightEventKind::SlotRelease, FlightEventKind::ResultTx] {
+                self.flight.record(
+                    kind,
+                    0,
+                    first.block as u64,
+                    self.shard as u16,
+                    0,
+                    entries.len() as u64,
+                );
             }
         }
-
         let msg = Message::Block(Packet {
             kind: PacketKind::Result,
             ver: 0,
@@ -364,66 +256,22 @@ impl<T: Transport> OmniAggregator<T> {
             epoch: 0,
             entries,
         });
-        self.workers_scratch.clear();
-        for w in 0..self.cfg.num_workers {
-            if !self.departed[w] {
-                self.workers_scratch.push(NodeId(self.cfg.worker_node(w)));
-            }
-        }
         self.stats.results_sent += 1;
         self.stats.slots_completed += 1;
         self.counters.results_sent.inc();
         self.counters.slots_completed.inc();
-        if let Message::Block(pkt) = &msg {
-            if let Some(first) = pkt.entries.first() {
-                self.flight.record(
-                    FlightEventKind::SlotRelease,
-                    0,
-                    first.block as u64,
-                    self.shard as u16,
-                    0,
-                    pkt.entries.len() as u64,
-                );
-                self.flight.record(
-                    FlightEventKind::ResultTx,
-                    0,
-                    first.block as u64,
-                    self.shard as u16,
-                    0,
-                    pkt.entries.len() as u64,
-                );
-            }
-        }
-        for w in &self.workers_scratch {
-            crate::wire::send_best_effort(&self.transport, *w, &msg)?;
+        for w in (0..self.cfg.num_workers).filter(|&w| !self.departed[w]) {
+            let node = NodeId(self.cfg.worker_node(w));
+            crate::wire::send_best_effort(&self.transport, node, &msg)?;
         }
         // Transports borrow `&Message`: we still own it, so its buffers
         // go back to the freelists for the next completion.
         self.pool.recycle_message(msg);
-
-        if all_done {
-            // Round over for this stream: reset for the next tensor
-            // (Algorithm 1 line 26) — in place, keeping every buffer.
-            let layout = self.layout;
-            let slot = self.slots[g].as_mut().expect("owned stream");
-            for (c, cs) in slot.cols.iter_mut().enumerate() {
-                if let Some(cs) = cs {
-                    cs.reset(layout.first_block(g, c).expect("valid column"));
-                }
-            }
-            // Round bookkeeping: when the last open stream of this round
-            // resets, a full AllReduce has been served.
-            self.streams_open_this_round -= 1;
-            if self.streams_open_this_round == 0 {
-                self.stats.rounds_completed += 1;
-                self.counters.rounds_completed.inc();
-                self.streams_open_this_round = (0..layout.total_streams())
-                    .filter(|g| {
-                        self.cfg.shard_of_stream(*g) == self.shard
-                            && layout.first_block(*g, 0).is_some()
-                    })
-                    .count();
-            }
+        if round_done {
+            // The last open stream of this round reset: a full
+            // AllReduce has been served.
+            self.stats.rounds_completed += 1;
+            self.counters.rounds_completed.inc();
         }
         Ok(())
     }

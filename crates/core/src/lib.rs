@@ -4,21 +4,27 @@
 //! engines that aggregate only the non-zero blocks of the input tensors,
 //! coordinated by a look-ahead "next non-zero block" exchange:
 //!
-//! * [`worker::OmniWorker`] / [`aggregator::OmniAggregator`] — Algorithm 1
-//!   with Block Fusion (§3.2) and parallel streams (§3.1.1), for reliable
-//!   transports (the paper's RDMA RC mode).
+//! * [`proto`] — the sans-IO Algorithm 1 core with Block Fusion (§3.2)
+//!   and parallel streams (§3.1.1): one [`proto::WorkerMachine`] and one
+//!   [`proto::AggMachine`], owning no transport, thread or clock. Every
+//!   Algorithm 1 engine below is a driver of these two machines.
+//! * [`worker::OmniWorker`] / [`aggregator::OmniAggregator`] — the thread
+//!   drivers for reliable transports (the paper's RDMA RC mode); the
+//!   worker runs over one transport or, as [`shard::ShardedWorker`], one
+//!   lane per aggregator shard ([`shard`], §4).
 //! * [`recovery::RecoveryWorker`] / [`recovery::RecoveryAggregator`] —
 //!   Algorithm 2 with acknowledgments, retransmission timers and
 //!   two-phase versioned slots, for lossy transports (the paper's
 //!   DPDK/UDP mode, Appendix A).
 //! * [`kv::KvWorker`] / [`kv::KvAggregator`] — Algorithm 3, the sparse
 //!   key-value block format (§3.3).
-//! * [`switch`] — the aggregation logic under programmable-switch
+//! * [`switch`] — the aggregator driver under programmable-switch
 //!   constraints (§7: bounded slots, fixed-point arithmetic, small
-//!   payloads), demonstrating the in-network offload.
+//!   payloads), demonstrating the in-network offload; only the
+//!   arithmetic differs from [`aggregator`].
 //! * [`hierarchical`] — two-layer aggregation for multi-GPU servers (§5):
 //!   intra-server reduction + inter-server OmniReduce.
-//! * [`sim`] — the same worker/aggregator protocol as
+//! * [`sim`] — the same two machines driven as
 //!   [`omnireduce_simnet`] actors, used by the benchmark harness to
 //!   reproduce the paper's timing figures on simulated 10/100 Gbps
 //!   fabrics; [`sim_recovery`] adds the Algorithm 2 actors with
@@ -40,6 +46,7 @@ pub mod hierarchical;
 mod instrument;
 pub mod kv;
 pub mod layout;
+pub mod proto;
 pub mod recovery;
 pub mod shard;
 pub mod sim;

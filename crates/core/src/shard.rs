@@ -13,10 +13,10 @@
 //! fused row, preserving the same interleaving at row granularity.
 //! [`ShardMap`] makes the mapping first-class and testable.
 //!
-//! * [`ShardedWorker`] runs Algorithm 1 with **one transport lane and
-//!   one set of next-nonzero-block cursors per shard**, instead of one
-//!   multiplexed connection. Lanes are polled fairly; per-shard traffic
-//!   counters feed the wire-byte differential suite.
+//! * [`ShardedWorker`] is the [`OmniWorker`] driver with **one
+//!   transport lane per shard** instead of one multiplexed connection.
+//!   Lanes are polled fairly; per-shard traffic counters feed the
+//!   wire-byte differential suite.
 //! * [`ShardJoin`] is the explicit completion join: a round finishes
 //!   when every shard's streams have finished, and a shard owning no
 //!   blocks (possible for short tensors) completes immediately rather
@@ -35,28 +35,22 @@
 //! the single-aggregator reference. The conformance suite asserts this
 //! across seeded interleavings (DESIGN §10).
 
+use std::ops::{Deref, DerefMut};
 use std::thread;
-use std::time::Duration;
 
-use omnireduce_tensor::{BlockIdx, NonZeroBitmap, Tensor, INFINITY_BLOCK};
+use omnireduce_tensor::{BlockIdx, Tensor};
 use omnireduce_transport::{
-    codec, BufferPool, Entry, FaultPlan, Message, NodeId, Packet, PacketKind, ShardedChannelMesh,
-    ShardedChaosMesh, Transport, TransportError,
+    FaultPlan, ShardedChannelMesh, ShardedChaosMesh, Transport, TransportError,
 };
 
-use omnireduce_telemetry::{Counter, FlightEventKind, FlightLane, LaneRole, Telemetry, NO_BLOCK};
+use omnireduce_telemetry::Telemetry;
 
 use crate::aggregator::{AggregatorStats, OmniAggregator};
 use crate::config::OmniConfig;
 use crate::error::ProtocolError;
 use crate::layout::StreamLayout;
 use crate::recovery::{RecoveryAggregator, RecoveryAggregatorStats, RecoveryStats, RecoveryWorker};
-use crate::wire::{decode_next, encode_next};
-use crate::worker::WorkerStats;
-
-/// How long one lane is polled before rotating while waiting for
-/// results (mirrors the bond's fairness slice).
-const LANE_POLL: Duration = Duration::from_micros(200);
+use crate::worker::{OmniWorker, WorkerStats};
 
 /// The block → shard assignment induced by the stream geometry.
 #[derive(Debug, Clone, Copy)]
@@ -211,322 +205,53 @@ impl ShardJoin {
     }
 }
 
-/// Per-column protocol state within one stream (the per-shard
-/// next-nonzero-block cursor lives in `my_next`).
-struct ColState {
-    my_next: BlockIdx,
-    done: bool,
-}
-
-/// Per-stream protocol state.
-struct StreamState {
-    cols: Vec<Option<ColState>>,
-    remaining: usize,
-}
-
 /// Algorithm 1 worker with one transport lane per aggregator shard.
 ///
-/// Protocol-identical to [`crate::worker::OmniWorker`] — the same
-/// packets flow to the same aggregators — but the transport is split:
-/// stream `g`'s traffic rides lane `shard_of_stream(g)`, receives poll
-/// the lanes fairly, and traffic counters are kept **per shard** so the
-/// differential suite can check each shard's wire bytes independently.
-pub struct ShardedWorker<T: Transport> {
-    lanes: Vec<T>,
-    cfg: OmniConfig,
-    layout: StreamLayout,
-    map: ShardMap,
-    wid: u16,
-    /// Per-shard traffic counters; `stats()` aggregates them.
-    shard_stats: Vec<WorkerStats>,
-    rounds: u64,
-    /// Fair-poll rotation over lanes.
-    cursor: usize,
-    pool: BufferPool,
-    /// Protocol flight lane (no-op unless the registry's flight
-    /// recorder is enabled).
-    flight: FlightLane,
-    /// `core.shard.shutdown_errors`: goodbye sends that failed during
-    /// wind-down (attempted on every lane regardless).
-    shutdown_errors: Counter,
-}
+/// The same driver as [`OmniWorker`] (it derefs to one): stream `g`'s
+/// traffic rides lane `shard_of_stream(g)`, receives poll the lanes
+/// fairly, and wire bytes are kept per shard so the differential suite
+/// can check each shard's traffic independently.
+pub struct ShardedWorker<T: Transport>(OmniWorker<T>);
 
 impl<T: Transport> ShardedWorker<T> {
     /// Creates the engine from one lane per shard (index = shard). All
     /// lanes must agree on the local worker id.
     pub fn new(lanes: Vec<T>, cfg: OmniConfig) -> Self {
-        cfg.validate();
         assert_eq!(
             lanes.len(),
             cfg.num_aggregators,
             "one lane per aggregator shard"
         );
-        let wid = lanes[0].local_id().0;
-        for l in &lanes {
-            assert_eq!(l.local_id().0, wid, "lanes must share the worker id");
-        }
-        assert!(
-            (wid as usize) < cfg.num_workers,
-            "transport node {wid} is not a worker"
-        );
-        let map = ShardMap::new(&cfg);
-        let layout = *map.layout();
-        let pool = BufferPool::for_block_size(cfg.block_size);
-        ShardedWorker {
-            shard_stats: vec![WorkerStats::default(); lanes.len()],
-            lanes,
-            cfg,
-            layout,
-            map,
-            wid,
-            rounds: 0,
-            cursor: 0,
-            pool,
-            flight: FlightLane::disabled(),
-            shutdown_errors: Counter::detached(),
-        }
+        ShardedWorker(OmniWorker::over_lanes(lanes, cfg))
     }
 
-    /// Like [`ShardedWorker::new`], but records protocol flight events
-    /// on a `worker{wid}` lane when `telemetry`'s flight recorder is
-    /// enabled. Events carry the destination shard, so the reconstructor
-    /// attributes wire time per shard.
+    /// Like [`ShardedWorker::new`], but registers the same telemetry as
+    /// [`OmniWorker::with_telemetry`]: `core.worker.*` counters, a
+    /// `worker{wid}` flight lane (events carry the destination shard, so
+    /// the reconstructor attributes wire time per shard) and
+    /// `core.shard.shutdown_errors`.
     pub fn with_telemetry(lanes: Vec<T>, cfg: OmniConfig, telemetry: &Telemetry) -> Self {
-        let mut w = Self::new(lanes, cfg);
-        w.flight = telemetry
-            .flight()
-            .lane(&format!("worker{}", w.wid), LaneRole::Worker, w.wid);
-        w.shutdown_errors = telemetry.counter("core.shard.shutdown_errors");
-        w
+        ShardedWorker(Self::new(lanes, cfg).0.attach(telemetry))
     }
 
-    /// This worker's id.
-    pub fn wid(&self) -> u16 {
-        self.wid
-    }
-
-    /// Aggregate traffic counters across all shards.
-    pub fn stats(&self) -> WorkerStats {
-        let mut total = WorkerStats {
-            rounds_completed: self.rounds,
-            ..WorkerStats::default()
-        };
-        for s in &self.shard_stats {
-            total.packets_sent += s.packets_sent;
-            total.bytes_sent += s.bytes_sent;
-            total.blocks_sent += s.blocks_sent;
-            total.results_received += s.results_received;
-        }
-        total
-    }
-
-    /// Per-shard traffic counters (index = shard).
-    pub fn shard_stats(&self) -> &[WorkerStats] {
-        &self.shard_stats
-    }
-
-    /// Wire bytes sent to each shard (index = shard).
-    pub fn shard_bytes(&self) -> Vec<u64> {
-        self.shard_stats.iter().map(|s| s.bytes_sent).collect()
-    }
-
-    /// Runs one AllReduce: on return, `tensor` holds the element-wise
-    /// sum across all workers, joined across every shard.
-    pub fn allreduce(&mut self, tensor: &mut Tensor) -> Result<(), TransportError> {
-        assert_eq!(
-            tensor.len(),
-            self.cfg.tensor_len,
-            "tensor length does not match group config"
-        );
-        let round = self.rounds as u32;
-        self.flight
-            .record(FlightEventKind::RoundStart, round, NO_BLOCK, 0, self.wid, 0);
-        let encode_t0 = self.flight.now_ns();
-        let bitmap = NonZeroBitmap::build(tensor, self.cfg.block_spec());
-        let skip = self.cfg.skip_zero_blocks;
-        let layout = self.layout;
-
-        let mut streams: Vec<Option<StreamState>> =
-            (0..layout.total_streams()).map(|_| None).collect();
-        let mut join = ShardJoin::new(self.map);
-        for g in layout.active_streams() {
-            let mut cols: Vec<Option<ColState>> = Vec::with_capacity(layout.width());
-            let mut entries = self.pool.checkout_entries();
-            let mut remaining = 0usize;
-            for c in 0..layout.width() {
-                match layout.first_block(g, c) {
-                    Some(b0) => {
-                        let my_next = layout.next_block(&bitmap, g, c, Some(b0), skip);
-                        let mut data = self.pool.checkout_f32();
-                        data.extend_from_slice(&tensor[layout.block_range(b0)]);
-                        entries.push(Entry::data(
-                            b0,
-                            encode_next(my_next, c, layout.width()),
-                            data,
-                        ));
-                        cols.push(Some(ColState {
-                            my_next,
-                            done: false,
-                        }));
-                        remaining += 1;
-                    }
-                    None => cols.push(None),
-                }
-            }
-            self.send_data(g, entries)?;
-            streams[g] = Some(StreamState { cols, remaining });
-        }
-        self.flight.record(
-            FlightEventKind::Encode,
-            round,
-            NO_BLOCK,
-            0,
-            self.wid,
-            self.flight.now_ns().saturating_sub(encode_t0),
-        );
-
-        while !join.round_done() {
-            let (shard, msg) = self.poll_lanes()?;
-            let packet = match msg {
-                Message::Block(p) if p.kind == PacketKind::Result => p,
-                other => panic!("sharded worker: unexpected message {:?}", other.tag()),
-            };
-            self.shard_stats[shard].results_received += 1;
-            self.flight.record(
-                FlightEventKind::ResultRx,
-                round,
-                NO_BLOCK,
-                shard as u16,
-                self.wid,
-                packet.entries.len() as u64,
-            );
-            let g = packet.slot as usize;
-            debug_assert_eq!(
-                self.map.shard_of_stream(g),
-                shard,
-                "result for stream {g} arrived on the wrong lane"
-            );
-            let state = streams[g].as_mut().expect("result for unknown stream");
-            let mut reply = self.pool.checkout_entries();
-            for entry in &packet.entries {
-                let (col, requested) = decode_next(entry.next, layout.width());
-                if !entry.data.is_empty() {
-                    tensor.copy_slice_at(layout.block_range(entry.block).start, &entry.data);
-                }
-                let cs = state.cols[col]
-                    .as_mut()
-                    .expect("result entry for invalid column");
-                if cs.done {
-                    continue;
-                }
-                if requested == INFINITY_BLOCK {
-                    cs.done = true;
-                    state.remaining -= 1;
-                    continue;
-                }
-                if cs.my_next == requested {
-                    let new_next = layout.next_block(&bitmap, g, col, Some(requested), skip);
-                    let mut data = self.pool.checkout_f32();
-                    data.extend_from_slice(&tensor[layout.block_range(requested)]);
-                    reply.push(Entry::data(
-                        requested,
-                        encode_next(new_next, col, layout.width()),
-                        data,
-                    ));
-                    cs.my_next = new_next;
-                }
-            }
-            if !reply.is_empty() {
-                self.send_data(g, reply)?;
-            } else {
-                self.pool.checkin_entries(reply);
-            }
-            if state.remaining == 0 {
-                streams[g] = None;
-                join.on_stream_complete(g);
-            }
-        }
-        self.rounds += 1;
-        for s in &mut self.shard_stats {
-            s.rounds_completed += 1;
-        }
-        self.flight
-            .record(FlightEventKind::RoundEnd, round, NO_BLOCK, 0, self.wid, 0);
-        Ok(())
-    }
-
-    /// One fair polling sweep over the lanes, blocking until a message
-    /// arrives on any of them.
-    fn poll_lanes(&mut self) -> Result<(usize, Message), TransportError> {
-        let n = self.lanes.len();
-        loop {
-            for i in 0..n {
-                let lane = (self.cursor + i) % n;
-                if let Some((_, msg)) = self.lanes[lane].recv_timeout(LANE_POLL)? {
-                    self.cursor = (lane + 1) % n;
-                    return Ok((lane, msg));
-                }
-            }
-        }
-    }
-
-    fn send_data(&mut self, stream: usize, entries: Vec<Entry>) -> Result<(), TransportError> {
-        let blocks = entries.iter().filter(|e| !e.is_ack()).count() as u64;
-        let msg = Message::Block(Packet {
-            kind: PacketKind::Data,
-            ver: 0,
-            slot: stream as u16,
-            stream: self.cfg.stream_id,
-            wid: self.wid,
-            epoch: 0,
-            entries,
-        });
-        let wire_bytes = codec::encoded_len(&msg) as u64;
-        let shard = self.map.shard_of_stream(stream);
-        let st = &mut self.shard_stats[shard];
-        st.packets_sent += 1;
-        st.blocks_sent += blocks;
-        st.bytes_sent += wire_bytes;
-        // One flight event per fused message, keyed by the first entry's
-        // block — mirrored by the aggregator's PacketRx for pairing.
-        if let Message::Block(p) = &msg {
-            if let Some(first) = p.entries.first() {
-                self.flight.record(
-                    FlightEventKind::PacketTx,
-                    self.rounds as u32,
-                    first.block as u64,
-                    shard as u16,
-                    self.wid,
-                    wire_bytes,
-                );
-            }
-        }
-        let sent = self.lanes[shard].send(NodeId(self.cfg.aggregator_node(shard)), &msg);
-        self.pool.recycle_message(msg);
-        sent
-    }
-
-    /// Says goodbye to every shard's aggregator on its own lane.
-    ///
-    /// Wind-down is symmetric across lanes: a dead shard must not keep
-    /// the goodbye from reaching the surviving shards, so every lane is
-    /// attempted even after a failure. Failed goodbyes are counted in
-    /// `core.shard.shutdown_errors` and the first error is returned
-    /// once all lanes have been tried.
+    /// Says goodbye to every shard's aggregator on its own lane (see
+    /// [`OmniWorker::shutdown`]).
     pub fn shutdown(self) -> Result<(), TransportError> {
-        let mut first_err = None;
-        for (s, lane) in self.lanes.iter().enumerate() {
-            if let Err(e) = lane.send(NodeId(self.cfg.aggregator_node(s)), &Message::Shutdown) {
-                self.shutdown_errors.inc();
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.0.shutdown()
+    }
+}
+
+impl<T: Transport> Deref for ShardedWorker<T> {
+    type Target = OmniWorker<T>;
+
+    fn deref(&self) -> &OmniWorker<T> {
+        &self.0
+    }
+}
+
+impl<T: Transport> DerefMut for ShardedWorker<T> {
+    fn deref_mut(&mut self) -> &mut OmniWorker<T> {
+        &mut self.0
     }
 }
 
@@ -591,12 +316,7 @@ impl ShardedAllReduce {
     /// # Panics
     /// Panics when shapes don't match the config or any thread fails.
     pub fn run(cfg: &OmniConfig, inputs: Vec<Vec<Tensor>>) -> ShardedRunResult {
-        let mut mesh = ShardedChannelMesh::new(cfg.num_workers, cfg.num_aggregators);
-        let lanes = (0..cfg.num_workers).map(|w| mesh.worker_lanes(w)).collect();
-        let aggs = (0..cfg.num_aggregators)
-            .map(|s| mesh.aggregator_endpoint(s))
-            .collect();
-        Self::run_lossless_over(cfg, inputs, lanes, aggs, None)
+        Self::run_on_channels(cfg, inputs, None)
     }
 
     /// Like [`ShardedAllReduce::run`], but attaches every engine to
@@ -607,12 +327,20 @@ impl ShardedAllReduce {
         inputs: Vec<Vec<Tensor>>,
         telemetry: &Telemetry,
     ) -> ShardedRunResult {
+        Self::run_on_channels(cfg, inputs, Some(telemetry))
+    }
+
+    fn run_on_channels(
+        cfg: &OmniConfig,
+        inputs: Vec<Vec<Tensor>>,
+        telemetry: Option<&Telemetry>,
+    ) -> ShardedRunResult {
         let mut mesh = ShardedChannelMesh::new(cfg.num_workers, cfg.num_aggregators);
         let lanes = (0..cfg.num_workers).map(|w| mesh.worker_lanes(w)).collect();
         let aggs = (0..cfg.num_aggregators)
             .map(|s| mesh.aggregator_endpoint(s))
             .collect();
-        Self::run_lossless_over(cfg, inputs, lanes, aggs, Some(telemetry))
+        Self::run_lossless_over(cfg, inputs, lanes, aggs, telemetry)
     }
 
     /// Like [`ShardedAllReduce::run`], but wraps shard `s`'s mesh in
@@ -633,7 +361,11 @@ impl ShardedAllReduce {
         Self::run_lossless_over(cfg, inputs, lanes, aggs, None)
     }
 
-    fn run_lossless_over<T: Transport + 'static>(
+    /// The lossless deployment behind every `run*` entry point (and
+    /// [`crate::testing::run_group`], with one-lane workers): one
+    /// aggregator thread per endpoint in `agg_endpoints`, one worker
+    /// thread per lane set in `worker_lanes`.
+    pub(crate) fn run_lossless_over<T: Transport + 'static>(
         cfg: &OmniConfig,
         inputs: Vec<Vec<Tensor>>,
         worker_lanes: Vec<Vec<T>>,
@@ -673,9 +405,10 @@ impl ShardedAllReduce {
                 thread::Builder::new()
                     .name(format!("sharded-worker{w}"))
                     .spawn(move || {
+                        let worker = OmniWorker::over_lanes(lanes, cfg);
                         let mut worker = match &telemetry {
-                            Some(tl) => ShardedWorker::with_telemetry(lanes, cfg, tl),
-                            None => ShardedWorker::new(lanes, cfg),
+                            Some(tl) => worker.attach(tl),
+                            None => worker,
                         };
                         let mut outs = Vec::with_capacity(tensors.len());
                         let mut failure = None;
@@ -689,7 +422,7 @@ impl ShardedAllReduce {
                             }
                         }
                         let stats = worker.stats();
-                        let shard_bytes = worker.shard_bytes();
+                        let shard_bytes = worker.shard_bytes().to_vec();
                         // Goodbyes go out even after a failed round: an
                         // aborting worker must not keep the *surviving*
                         // shards (or, through the tenant service,

@@ -2,10 +2,11 @@
 //! the benchmark harness to reproduce the paper's figures on simulated
 //! 10/100 Gbps fabrics.
 //!
-//! The actors run the *same protocol* as the executable engines
-//! ([`crate::worker`], [`crate::aggregator`]): real per-column lookahead
-//! over the workers' actual non-zero bitmaps, real fused packets, real
-//! min-next coordination. Only the tensor payload is elided — packets
+//! The actors are simnet drivers of the *same machines* as the
+//! executable engines ([`crate::proto::WorkerMachine`],
+//! [`crate::proto::AggMachine`]): real per-column lookahead over the
+//! workers' actual non-zero bitmaps, real fused packets, real min-next
+//! coordination. Only the tensor payload is elided — packets
 //! carry block indices and the simulator charges them their exact encoded
 //! byte size ([`omnireduce_transport::codec`] constants), so the timing
 //! reflects true protocol behaviour including partial overlap between
@@ -27,11 +28,12 @@ use omnireduce_simnet::{
     ActorId, Bandwidth, Ctx, NicConfig, Process, RunReport, SimTime, Simulator, Topology,
 };
 use omnireduce_telemetry::{Counter, FlightEventKind, FlightLane, LaneRole, Telemetry, NO_BLOCK};
-use omnireduce_tensor::{BlockIdx, NonZeroBitmap, INFINITY_BLOCK};
+use omnireduce_tensor::{BlockIdx, NonZeroBitmap};
 use omnireduce_transport::codec::ENTRY_HEADER_BYTES;
 
 use crate::config::OmniConfig;
 use crate::layout::StreamLayout;
+use crate::proto::{AggMachine, Offer, WorkerMachine};
 
 /// One fused entry in a simulated packet.
 #[derive(Debug, Clone, Copy)]
@@ -113,13 +115,8 @@ impl SimSpec {
     /// Colocated spec (shards share worker NICs).
     pub fn colocated(cfg: OmniConfig, rate: Bandwidth, latency: SimTime) -> Self {
         SimSpec {
-            cfg,
-            worker_nic: NicConfig::symmetric(rate, latency),
-            agg_nic: NicConfig::symmetric(rate, latency),
             colocated: true,
-            telemetry: None,
-            threads: 1,
-            topology: None,
+            ..Self::dedicated(cfg, rate, latency)
         }
     }
 
@@ -153,19 +150,12 @@ struct SimWorkerCounters {
 
 impl SimWorkerCounters {
     fn from_spec(spec: &SimSpec) -> Self {
-        match &spec.telemetry {
-            Some(t) => SimWorkerCounters {
-                packets_sent: t.counter("core.sim.worker.packets_sent"),
-                bytes_sent: t.counter("core.sim.worker.bytes_sent"),
-                results_received: t.counter("core.sim.worker.results_received"),
-                rounds_completed: t.counter("core.sim.worker.rounds_completed"),
-            },
-            None => SimWorkerCounters {
-                packets_sent: Counter::detached(),
-                bytes_sent: Counter::detached(),
-                results_received: Counter::detached(),
-                rounds_completed: Counter::detached(),
-            },
+        let c = |name| spec_counter(spec, name);
+        SimWorkerCounters {
+            packets_sent: c("core.sim.worker.packets_sent"),
+            bytes_sent: c("core.sim.worker.bytes_sent"),
+            results_received: c("core.sim.worker.results_received"),
+            rounds_completed: c("core.sim.worker.rounds_completed"),
         }
     }
 }
@@ -181,43 +171,33 @@ struct SimAggCounters {
 
 impl SimAggCounters {
     fn from_spec(spec: &SimSpec) -> Self {
-        match &spec.telemetry {
-            Some(t) => SimAggCounters {
-                packets_received: t.counter("core.sim.aggregator.packets_received"),
-                results_sent: t.counter("core.sim.aggregator.results_sent"),
-                bytes_sent: t.counter("core.sim.aggregator.bytes_sent"),
-                slots_completed: t.counter("core.sim.aggregator.slots_completed"),
-            },
-            None => SimAggCounters {
-                packets_received: Counter::detached(),
-                results_sent: Counter::detached(),
-                bytes_sent: Counter::detached(),
-                slots_completed: Counter::detached(),
-            },
+        let c = |name| spec_counter(spec, name);
+        SimAggCounters {
+            packets_received: c("core.sim.aggregator.packets_received"),
+            results_sent: c("core.sim.aggregator.results_sent"),
+            bytes_sent: c("core.sim.aggregator.bytes_sent"),
+            slots_completed: c("core.sim.aggregator.slots_completed"),
         }
     }
 }
 
-struct WCol {
-    my_next: BlockIdx,
-    done: bool,
+/// Counter `name` on the spec's registry (detached without one).
+fn spec_counter(spec: &SimSpec, name: &str) -> Counter {
+    spec.telemetry
+        .as_ref()
+        .map_or_else(Counter::detached, |t| t.counter(name))
 }
 
-struct WStream {
-    cols: Vec<Option<WCol>>,
-    remaining: usize,
-}
-
-/// Worker actor: mirrors [`crate::worker::OmniWorker`].
+/// Worker actor: the simnet driver of [`WorkerMachine`] (the thread
+/// driver is [`crate::worker::OmniWorker`]). Each offer is charged its
+/// block's exact value count; no payload moves.
 struct WorkerActor {
     cfg: OmniConfig,
-    layout: StreamLayout,
     wid: usize,
-    bitmap: Arc<NonZeroBitmap>,
+    /// Armed with this worker's bitmap before the run starts.
+    machine: WorkerMachine,
     /// Actor ids of the shards, indexed by shard number.
     shards: Vec<ActorId>,
-    streams: Vec<Option<WStream>>,
-    pending: usize,
     counters: SimWorkerCounters,
     /// Flight lane recording simulated-time protocol events
     /// (`record_at` with sim ns — never the wall clock).
@@ -252,6 +232,24 @@ impl WorkerActor {
             bytes,
         );
     }
+
+    /// Ends the round once every stream finished.
+    fn finish_if_done(&self, ctx: &mut Ctx<SimMsg>) {
+        if !self.machine.round_done() {
+            return;
+        }
+        self.counters.rounds_completed.inc();
+        self.flight.record_at(
+            ctx.now().as_nanos(),
+            FlightEventKind::RoundEnd,
+            0,
+            NO_BLOCK,
+            0,
+            self.wid as u16,
+            0,
+        );
+        ctx.halt();
+    }
 }
 
 impl Process<SimMsg> for WorkerActor {
@@ -265,49 +263,14 @@ impl Process<SimMsg> for WorkerActor {
             self.wid as u16,
             0,
         );
-        let layout = self.layout;
-        let skip = self.cfg.skip_zero_blocks;
-        self.streams = (0..layout.total_streams()).map(|_| None).collect();
+        let layout = *self.machine.layout();
         for g in layout.active_streams() {
-            let mut cols: Vec<Option<WCol>> = Vec::with_capacity(layout.width());
             let mut entries = Vec::with_capacity(layout.width());
-            let mut remaining = 0;
-            for c in 0..layout.width() {
-                match layout.first_block(g, c) {
-                    Some(b0) => {
-                        let my_next = layout.next_block(&self.bitmap, g, c, Some(b0), skip);
-                        entries.push(SimEntry {
-                            block: b0,
-                            col: c,
-                            next: my_next,
-                            values: layout.block_range(b0).len(),
-                        });
-                        cols.push(Some(WCol {
-                            my_next,
-                            done: false,
-                        }));
-                        remaining += 1;
-                    }
-                    None => cols.push(None),
-                }
-            }
+            self.machine
+                .first_row(g, |o| entries.push(sim_entry(&layout, o)));
             self.send_data(ctx, g, entries);
-            self.streams[g] = Some(WStream { cols, remaining });
-            self.pending += 1;
         }
-        if self.pending == 0 {
-            self.counters.rounds_completed.inc();
-            self.flight.record_at(
-                ctx.now().as_nanos(),
-                FlightEventKind::RoundEnd,
-                0,
-                NO_BLOCK,
-                0,
-                self.wid as u16,
-                0,
-            );
-            ctx.halt();
-        }
+        self.finish_if_done(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<SimMsg>, _from: ActorId, msg: SimMsg) {
@@ -324,98 +287,38 @@ impl Process<SimMsg> for WorkerActor {
             self.wid as u16,
             entries.len() as u64,
         );
-        let layout = self.layout;
-        let skip = self.cfg.skip_zero_blocks;
-        let state = self.streams[g].as_mut().expect("unknown stream");
-        let mut reply = Vec::with_capacity(entries.len());
-        for e in &entries {
-            let cs = state.cols[e.col].as_mut().expect("invalid column");
-            if cs.done {
-                continue;
-            }
-            let requested = e.next;
-            if requested == INFINITY_BLOCK {
-                cs.done = true;
-                state.remaining -= 1;
-                continue;
-            }
-            if cs.my_next == requested {
-                let new_next = layout.next_block(&self.bitmap, g, e.col, Some(requested), skip);
-                reply.push(SimEntry {
-                    block: requested,
-                    col: e.col,
-                    next: new_next,
-                    values: layout.block_range(requested).len(),
-                });
-                cs.my_next = new_next;
-            }
-        }
-        let finished = state.remaining == 0;
+        let layout = *self.machine.layout();
+        let reply: Vec<SimEntry> = entries
+            .iter()
+            .filter_map(|e| self.machine.on_result(g, e.col, e.next))
+            .map(|o| sim_entry(&layout, o))
+            .collect();
         if !reply.is_empty() {
             self.send_data(ctx, g, reply);
         }
-        if finished {
-            self.streams[g] = None;
-            self.pending -= 1;
-            if self.pending == 0 {
-                self.counters.rounds_completed.inc();
-                self.flight.record_at(
-                    ctx.now().as_nanos(),
-                    FlightEventKind::RoundEnd,
-                    0,
-                    NO_BLOCK,
-                    0,
-                    self.wid as u16,
-                    0,
-                );
-                ctx.halt();
-            }
-        }
+        self.finish_if_done(ctx);
     }
 }
 
-const NEG_INF: i64 = -1;
-
-struct ACol {
-    cur: BlockIdx,
-    next_of: Vec<i64>,
-}
-
-impl ACol {
-    fn min_next(&self) -> Option<BlockIdx> {
-        let mut min = i64::MAX;
-        for n in &self.next_of {
-            if *n == NEG_INF {
-                return None;
-            }
-            min = min.min(*n);
-        }
-        Some(min as BlockIdx)
-    }
-
-    fn complete(&self) -> bool {
-        matches!(self.min_next(), Some(m) if (self.cur as i64) < m as i64)
-    }
-
-    fn active(&self) -> bool {
-        self.cur != INFINITY_BLOCK
+/// A simulated entry for `o`, charged the block's exact value count.
+fn sim_entry(layout: &StreamLayout, o: Offer) -> SimEntry {
+    SimEntry {
+        block: o.block,
+        col: o.col,
+        next: o.next,
+        values: layout.block_range(o.block).len(),
     }
 }
 
-struct ASlot {
-    cols: Vec<Option<ACol>>,
-}
-
-/// Aggregator shard actor: mirrors [`crate::aggregator::OmniAggregator`],
-/// serving exactly one AllReduce round and halting when every owned
-/// stream completes.
+/// Aggregator shard actor: the simnet driver of [`AggMachine`] with no
+/// arithmetic (the thread driver is
+/// [`crate::aggregator::OmniAggregator`]), serving exactly one
+/// AllReduce round and halting when every owned stream completes.
 struct AggActor {
     cfg: OmniConfig,
-    layout: StreamLayout,
     shard: usize,
     workers: Vec<ActorId>,
-    slots: Vec<Option<ASlot>>,
-    open_streams: usize,
+    machine: AggMachine<()>,
     counters: SimAggCounters,
     /// Flight lane recording simulated-time protocol events.
     flight: FlightLane,
@@ -423,24 +326,7 @@ struct AggActor {
 
 impl Process<SimMsg> for AggActor {
     fn on_start(&mut self, ctx: &mut Ctx<SimMsg>) {
-        let layout = self.layout;
-        self.slots = (0..layout.total_streams())
-            .map(|g| {
-                (self.cfg.shard_of_stream(g) == self.shard && layout.first_block(g, 0).is_some())
-                    .then(|| ASlot {
-                        cols: (0..layout.width())
-                            .map(|c| {
-                                layout.first_block(g, c).map(|b0| ACol {
-                                    cur: b0,
-                                    next_of: vec![NEG_INF; self.cfg.num_workers],
-                                })
-                            })
-                            .collect(),
-                    })
-            })
-            .collect();
-        self.open_streams = self.slots.iter().flatten().count();
-        if self.open_streams == 0 {
+        if self.machine.active_streams() == 0 {
             ctx.halt();
         }
     }
@@ -468,46 +354,17 @@ impl Process<SimMsg> for AggActor {
                 entries.len() as u64,
             );
         }
-        let slot = self.slots[g].as_mut().expect("stream not owned");
         for e in &entries {
-            let cs = slot.cols[e.col].as_mut().expect("invalid column");
-            debug_assert_eq!(e.block, cs.cur);
-            cs.next_of[wid] = if e.next == INFINITY_BLOCK {
-                INFINITY_BLOCK as i64
-            } else {
-                e.next as i64
-            };
+            self.machine.offer(g, wid, e.col, e.block, e.next);
         }
-        let all_complete = slot
-            .cols
-            .iter()
-            .flatten()
-            .filter(|c| c.active())
-            .all(|c| c.complete());
-        let any_active = slot.cols.iter().flatten().any(|c| c.active());
-        if !any_active || !all_complete {
+        if !self.machine.is_complete(g) {
             return;
         }
-        let layout = self.layout;
+        let layout = *self.machine.layout();
         let mut result = Vec::with_capacity(layout.width());
-        let mut all_done = true;
-        for (c, cs) in slot.cols.iter_mut().enumerate() {
-            let Some(cs) = cs else { continue };
-            if !cs.active() {
-                continue;
-            }
-            let min_next = cs.min_next().expect("complete implies announced");
-            result.push(SimEntry {
-                block: cs.cur,
-                col: c,
-                next: min_next,
-                values: layout.block_range(cs.cur).len(),
-            });
-            cs.cur = min_next;
-            if min_next != INFINITY_BLOCK {
-                all_done = false;
-            }
-        }
+        let round_done = self
+            .machine
+            .release(g, |o, ()| result.push(sim_entry(&layout, o)));
         let bytes = msg_bytes(self.cfg.stream_id, &result);
         self.counters.slots_completed.inc();
         if let Some(first) = result.first() {
@@ -533,12 +390,8 @@ impl Process<SimMsg> for AggActor {
                 bytes,
             );
         }
-        if all_done {
-            self.slots[g] = None;
-            self.open_streams -= 1;
-            if self.open_streams == 0 {
-                ctx.halt();
-            }
+        if round_done {
+            ctx.halt();
         }
     }
 }
@@ -575,15 +428,6 @@ pub fn simulate_allreduce(spec: &SimSpec, bitmaps: &[NonZeroBitmap]) -> SimOutco
     let cfg = &spec.cfg;
     cfg.validate();
     assert_eq!(bitmaps.len(), cfg.num_workers, "one bitmap per worker");
-    let layout = StreamLayout::new(
-        cfg.block_spec(),
-        cfg.fusion,
-        cfg.total_streams(),
-        cfg.tensor_len,
-    );
-    for bm in bitmaps {
-        assert_eq!(bm.block_count(), layout.nblocks(), "bitmap size mismatch");
-    }
     if spec.colocated {
         assert!(
             cfg.num_aggregators <= cfg.num_workers,
@@ -629,16 +473,15 @@ pub fn simulate_allreduce(spec: &SimSpec, bitmaps: &[NonZeroBitmap]) -> SimOutco
         None => FlightLane::disabled(),
     };
     for (w, bm) in bitmaps.iter().enumerate() {
+        let mut machine = WorkerMachine::new(cfg);
+        machine.start_round(bm.clone());
         sim.add_actor(
             worker_nics[w],
             Box::new(WorkerActor {
                 cfg: cfg.clone(),
-                layout,
                 wid: w,
-                bitmap: Arc::new(bm.clone()),
+                machine,
                 shards: shard_ids.clone(),
-                streams: Vec::new(),
-                pending: 0,
                 counters: worker_counters.clone(),
                 flight: flight_lane(&format!("worker{w}"), LaneRole::Worker, w as u16),
             }),
@@ -649,11 +492,9 @@ pub fn simulate_allreduce(spec: &SimSpec, bitmaps: &[NonZeroBitmap]) -> SimOutco
             *nic,
             Box::new(AggActor {
                 cfg: cfg.clone(),
-                layout,
                 shard: a,
                 workers: worker_ids.clone(),
-                slots: Vec::new(),
-                open_streams: 0,
+                machine: AggMachine::new(cfg, a, || ()),
                 counters: agg_counters.clone(),
                 flight: flight_lane(&format!("agg{a}"), LaneRole::Aggregator, a as u16),
             }),

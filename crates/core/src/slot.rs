@@ -25,6 +25,34 @@
 
 use omnireduce_tensor::block::{copy_into, reduce_into};
 
+/// The arithmetic an aggregator column reduces payloads with — the one
+/// part of the Algorithm 1 aggregator that plugs in (f32 here, fixed
+/// point in [`crate::switch`]).
+pub trait Accumulator {
+    /// True when any worker contributed to the current block.
+    fn touched(&self) -> bool;
+    /// Folds worker `wid`'s block payload in.
+    fn store(&mut self, wid: usize, data: &[f32]);
+    /// Drains the current block's aggregate into `out` and rearms for
+    /// the next block.
+    fn take_into(&mut self, out: &mut Vec<f32>);
+}
+
+impl Accumulator for ColAccumulator {
+    #[inline]
+    fn touched(&self) -> bool {
+        ColAccumulator::touched(self)
+    }
+    #[inline]
+    fn store(&mut self, wid: usize, data: &[f32]) {
+        ColAccumulator::store(self, wid, data)
+    }
+    #[inline]
+    fn take_into(&mut self, out: &mut Vec<f32>) {
+        ColAccumulator::take_into(self, out)
+    }
+}
+
 /// Per-column block accumulator shared by the aggregation engines.
 #[derive(Debug, Clone)]
 pub struct ColAccumulator {

@@ -20,20 +20,18 @@
 //!   recirculation factor so the timing model can charge for it.
 //!
 //! [`SwitchAggregator`] is a drop-in replacement for
-//! [`crate::aggregator::OmniAggregator`] over any reliable transport: same
-//! wire protocol, switch-constrained internals. Results it produces are
+//! [`crate::aggregator::OmniAggregator`] over any reliable transport: the
+//! same driver and Algorithm 1 machine, with only the arithmetic
+//! swapped. Results it produces are
 //! quantized, so they differ from the float sum by at most the
 //! quantization step times the worker count.
 
-use omnireduce_telemetry::{Counter, Telemetry};
-use omnireduce_tensor::{BlockIdx, INFINITY_BLOCK};
-use omnireduce_transport::{
-    BufferPool, Entry, Message, NodeId, Packet, PacketKind, Transport, TransportError,
-};
+use omnireduce_telemetry::Counter;
+use omnireduce_transport::{Transport, TransportError};
 
+use crate::aggregator::OmniAggregator;
 use crate::config::OmniConfig;
-use crate::layout::StreamLayout;
-use crate::wire::{decode_next, encode_next};
+use crate::slot::Accumulator;
 
 /// Values a Tofino-class pipeline can aggregate per packet per pass
 /// (the paper's Fig. 18 runs the P4 aggregator with block size 34).
@@ -87,56 +85,47 @@ impl FixedPoint {
     }
 }
 
-const NEG_INFINITY: i64 = -1;
-
-struct ColSlot {
-    cur: BlockIdx,
+/// One column's switch register: fixed-point partial sums with
+/// saturation, plus the shared pass and saturation tallies.
+struct FixedAcc {
+    fp: FixedPoint,
     acc: Vec<i32>,
     touched: bool,
-    next_of: Vec<i64>,
+    passes: Counter,
+    saturations: Counter,
 }
 
-impl ColSlot {
-    fn new(first: BlockIdx, n: usize) -> Self {
-        ColSlot {
-            cur: first,
-            acc: Vec::new(),
-            touched: false,
-            next_of: vec![NEG_INFINITY; n],
+impl Accumulator for FixedAcc {
+    fn touched(&self) -> bool {
+        self.touched
+    }
+
+    fn store(&mut self, _wid: usize, data: &[f32]) {
+        let fp = self.fp;
+        self.passes
+            .add(data.len().div_ceil(TOFINO_MAX_BLOCK) as u64);
+        if !self.touched {
+            self.acc.clear();
+            self.acc.extend(data.iter().map(|v| fp.quantize(*v)));
+            self.touched = true;
+            return;
         }
-    }
-
-    fn active(&self) -> bool {
-        self.cur != INFINITY_BLOCK
-    }
-
-    fn min_next(&self) -> Option<BlockIdx> {
-        let mut min = i64::MAX;
-        for n in &self.next_of {
-            if *n == NEG_INFINITY {
-                return None;
+        for (a, v) in self.acc.iter_mut().zip(data) {
+            let sum = fp.add(*a, fp.quantize(*v));
+            if sum == i32::MAX || sum == i32::MIN {
+                self.saturations.inc();
             }
-            min = min.min(*n);
+            *a = sum;
         }
-        Some(min as BlockIdx)
     }
 
-    fn complete(&self) -> bool {
-        matches!(self.min_next(), Some(m) if (self.cur as i64) < m as i64)
-    }
-
-    /// Clears the slot for a new round in place, keeping the `acc` and
-    /// `next_of` allocations (DESIGN §9: no per-round allocation).
-    fn reset(&mut self, first: BlockIdx) {
-        self.cur = first;
+    fn take_into(&mut self, out: &mut Vec<f32>) {
+        let fp = self.fp;
+        out.clear();
+        out.extend(self.acc.iter().map(|q| fp.dequantize(*q)));
         self.acc.clear();
         self.touched = false;
-        self.next_of.fill(NEG_INFINITY);
     }
-}
-
-struct Slot {
-    cols: Vec<Option<ColSlot>>,
 }
 
 /// Statistics of the modelled switch data plane.
@@ -153,57 +142,18 @@ pub struct SwitchStats {
     pub results_sent: u64,
 }
 
-/// Fleet-wide `core.switch.*` registry mirrors of [`SwitchStats`]
-/// (detached no-ops unless built via
-/// [`SwitchAggregator::with_telemetry`]).
-struct SwitchCounters {
-    packets: Counter,
-    pipeline_passes: Counter,
-    saturations: Counter,
-    results_sent: Counter,
-}
-
-impl SwitchCounters {
-    fn detached() -> Self {
-        SwitchCounters {
-            packets: Counter::detached(),
-            pipeline_passes: Counter::detached(),
-            saturations: Counter::detached(),
-            results_sent: Counter::detached(),
-        }
-    }
-
-    fn registered(telemetry: &Telemetry) -> Self {
-        SwitchCounters {
-            packets: telemetry.counter("core.switch.packets"),
-            pipeline_passes: telemetry.counter("core.switch.pipeline_passes"),
-            saturations: telemetry.counter("core.switch.saturations"),
-            results_sent: telemetry.counter("core.switch.results_sent"),
-        }
-    }
-}
-
-/// An aggregator with Tofino-like constraints: fixed-point slots drawn
+/// An aggregator with Tofino-like constraints: the
+/// [`OmniAggregator`] driver over fixed-point column registers drawn
 /// from a bounded pool. Protocol-compatible with
 /// [`crate::worker::OmniWorker`].
 pub struct SwitchAggregator<T: Transport> {
-    transport: T,
-    cfg: OmniConfig,
-    layout: StreamLayout,
-    fp: FixedPoint,
-    slots: Vec<Option<Slot>>,
-    /// Workers that sent `Shutdown` (finished; excluded from multicasts).
-    departed: Vec<bool>,
-    goodbyes: usize,
-    /// Data-plane counters.
+    inner: OmniAggregator<T, FixedAcc>,
+    /// Tallies shared by every column register.
+    passes: Counter,
+    saturations: Counter,
+    /// Data-plane counters, published when [`SwitchAggregator::run`]
+    /// returns.
     pub stats: SwitchStats,
-    counters: SwitchCounters,
-    /// Freelists for outgoing result buffers (DESIGN §9): dequantized
-    /// payloads and entry lists are checked out here and recycled after
-    /// the multicast instead of reallocated per completion.
-    pool: BufferPool,
-    /// Multicast fan-out scratch, reused across completions.
-    workers_scratch: Vec<NodeId>,
 }
 
 impl<T: Transport> SwitchAggregator<T> {
@@ -215,197 +165,41 @@ impl<T: Transport> SwitchAggregator<T> {
     /// `pool_slots` — the register-memory bound of the switch. Each
     /// stream consumes `fusion` column slots.
     pub fn new(transport: T, cfg: OmniConfig, fp: FixedPoint, pool_slots: usize) -> Self {
-        cfg.validate();
-        let node = transport.local_id().0 as usize;
-        assert!(
-            node >= cfg.num_workers && node < cfg.mesh_size(),
-            "node {node} is not an aggregator"
-        );
-        let shard = node - cfg.num_workers;
-        let layout = StreamLayout::new(
-            cfg.block_spec(),
-            cfg.fusion,
-            cfg.total_streams(),
-            cfg.tensor_len,
-        );
-        let owned_streams = (0..layout.total_streams())
-            .filter(|g| cfg.shard_of_stream(*g) == shard)
+        let (passes, saturations) = (Counter::detached(), Counter::detached());
+        let acc = || FixedAcc {
+            fp,
+            acc: Vec::new(),
+            touched: false,
+            passes: passes.clone(),
+            saturations: saturations.clone(),
+        };
+        let inner = OmniAggregator::with_accumulators(transport, cfg.clone(), acc);
+        let owned_streams = (0..cfg.total_streams())
+            .filter(|g| cfg.shard_of_stream(*g) == inner.shard())
             .count();
         let needed = owned_streams * cfg.fusion;
         assert!(
             needed <= pool_slots,
             "geometry needs {needed} slots but the switch pool holds {pool_slots}"
         );
-        let slots = (0..layout.total_streams())
-            .map(|g| {
-                (cfg.shard_of_stream(g) == shard).then(|| Slot {
-                    cols: (0..layout.width())
-                        .map(|c| {
-                            layout
-                                .first_block(g, c)
-                                .map(|b0| ColSlot::new(b0, cfg.num_workers))
-                        })
-                        .collect(),
-                })
-            })
-            .collect();
-        let departed = vec![false; cfg.num_workers];
-        let pool = BufferPool::for_block_size(cfg.block_size);
         SwitchAggregator {
-            transport,
-            cfg,
-            layout,
-            fp,
-            slots,
-            departed,
-            goodbyes: 0,
+            inner,
+            passes,
+            saturations,
             stats: SwitchStats::default(),
-            counters: SwitchCounters::detached(),
-            pool,
-            workers_scratch: Vec::new(),
         }
-    }
-
-    /// Like [`SwitchAggregator::new`], but mirrors data-plane counters
-    /// into `telemetry`'s `core.switch.*` counters.
-    pub fn with_telemetry(
-        transport: T,
-        cfg: OmniConfig,
-        fp: FixedPoint,
-        pool_slots: usize,
-        telemetry: &Telemetry,
-    ) -> Self {
-        let mut a = Self::new(transport, cfg, fp, pool_slots);
-        a.counters = SwitchCounters::registered(telemetry);
-        a.pool = BufferPool::for_block_size(a.cfg.block_size).with_telemetry("switch", telemetry);
-        a
     }
 
     /// Serves the group until every worker says `Shutdown`.
     pub fn run(&mut self) -> Result<(), TransportError> {
-        loop {
-            let (from, msg) = self.transport.recv()?;
-            match msg {
-                Message::Block(p) if p.kind == PacketKind::Data => self.handle(p)?,
-                Message::Shutdown => {
-                    if !self.departed[from.index()] {
-                        self.departed[from.index()] = true;
-                        self.goodbyes += 1;
-                    }
-                    if self.goodbyes == self.cfg.num_workers {
-                        return Ok(());
-                    }
-                }
-                other => panic!("switch: unexpected {:?}", other.tag()),
-            }
-        }
-    }
-
-    fn handle(&mut self, p: Packet) -> Result<(), TransportError> {
-        let g = p.slot as usize;
-        let width = self.layout.width();
-        self.stats.packets += 1;
-        self.counters.packets.inc();
-        let fp = self.fp;
-        let slot = self.slots[g].as_mut().expect("stream not owned");
-        for entry in &p.entries {
-            let (col, next) = decode_next(entry.next, width);
-            let cs = slot.cols[col].as_mut().expect("invalid column");
-            if !entry.data.is_empty() {
-                debug_assert_eq!(entry.block, cs.cur);
-                let passes = entry.data.len().div_ceil(TOFINO_MAX_BLOCK) as u64;
-                self.stats.pipeline_passes += passes;
-                self.counters.pipeline_passes.add(passes);
-                if !cs.touched {
-                    cs.acc.clear();
-                    cs.acc.extend(entry.data.iter().map(|v| fp.quantize(*v)));
-                    cs.touched = true;
-                } else {
-                    for (a, v) in cs.acc.iter_mut().zip(&entry.data) {
-                        let q = fp.quantize(*v);
-                        let sum = fp.add(*a, q);
-                        if sum == i32::MAX || sum == i32::MIN {
-                            self.stats.saturations += 1;
-                            self.counters.saturations.inc();
-                        }
-                        *a = sum;
-                    }
-                }
-            }
-            cs.next_of[p.wid as usize] = if next == INFINITY_BLOCK {
-                INFINITY_BLOCK as i64
-            } else {
-                next as i64
-            };
-        }
-        self.check_completion(g)
-    }
-
-    fn check_completion(&mut self, g: usize) -> Result<(), TransportError> {
-        let width = self.layout.width();
-        let fp = self.fp;
-        let slot = self.slots[g].as_mut().expect("owned stream");
-        let any_active = slot.cols.iter().flatten().any(|c| c.active());
-        let all_complete = slot
-            .cols
-            .iter()
-            .flatten()
-            .filter(|c| c.active())
-            .all(|c| c.complete());
-        if !any_active || !all_complete {
-            return Ok(());
-        }
-        let mut entries = self.pool.checkout_entries();
-        let mut all_done = true;
-        for (col, cs) in slot.cols.iter_mut().enumerate() {
-            let Some(cs) = cs else { continue };
-            if !cs.active() {
-                continue;
-            }
-            let min_next = cs.min_next().expect("complete implies announced");
-            // Pooled dequantized payload (no fresh Vec per completion).
-            let mut data = self.pool.checkout_f32();
-            data.extend(cs.acc.iter().map(|q| fp.dequantize(*q)));
-            entries.push(Entry::data(cs.cur, encode_next(min_next, col, width), data));
-            cs.acc.clear();
-            cs.touched = false;
-            cs.cur = min_next;
-            if min_next != INFINITY_BLOCK {
-                all_done = false;
-            }
-        }
-        let msg = Message::Block(Packet {
-            kind: PacketKind::Result,
-            ver: 0,
-            slot: g as u16,
-            stream: self.cfg.stream_id,
-            wid: u16::MAX,
-            epoch: 0,
-            entries,
-        });
-        self.workers_scratch.clear();
-        for w in 0..self.cfg.num_workers {
-            if !self.departed[w] {
-                self.workers_scratch.push(NodeId(self.cfg.worker_node(w)));
-            }
-        }
-        self.stats.results_sent += 1;
-        self.counters.results_sent.inc();
-        for w in &self.workers_scratch {
-            crate::wire::send_best_effort(&self.transport, *w, &msg)?;
-        }
-        // The multicast borrowed the message; its buffers come back.
-        self.pool.recycle_message(msg);
-        if all_done {
-            let layout = self.layout;
-            let slot = self.slots[g].as_mut().expect("owned stream");
-            for (c, cs) in slot.cols.iter_mut().enumerate() {
-                if let Some(cs) = cs {
-                    cs.reset(layout.first_block(g, c).expect("valid"));
-                }
-            }
-        }
-        Ok(())
+        let res = self.inner.run();
+        self.stats = SwitchStats {
+            packets: self.inner.stats.packets,
+            pipeline_passes: self.passes.get(),
+            saturations: self.saturations.get(),
+            results_sent: self.inner.stats.results_sent,
+        };
+        res
     }
 }
 

@@ -14,10 +14,9 @@ use omnireduce_tensor::gen::{self, OverlapMode};
 use omnireduce_tensor::{BlockSpec, Tensor};
 use omnireduce_transport::{ChannelNetwork, NodeId, Transport};
 
-use crate::aggregator::OmniAggregator;
 use crate::config::OmniConfig;
 use crate::recovery::{RecoveryAggregator, RecoveryWorker};
-use crate::worker::{OmniWorker, WorkerStats};
+use crate::shard::{ShardedAllReduce, ShardedRunResult};
 
 /// Deadlock watchdog for tests: runs `f` on a helper thread and panics
 /// if it has not finished within `deadline` — a stalled collective
@@ -74,76 +73,26 @@ where
     }
 }
 
-/// Result of [`run_group`]: per-worker output tensors (one per round) and
-/// traffic stats.
-pub struct GroupResult {
-    /// `outputs[w][r]` = worker `w`'s tensor after round `r`.
-    pub outputs: Vec<Vec<Tensor>>,
-    /// Per-worker traffic counters.
-    pub stats: Vec<WorkerStats>,
-    /// `shard_bytes[w][s]` = wire bytes worker `w` sent to aggregator
-    /// shard `s`; row-sums equal `stats[w].bytes_sent`.
-    pub shard_bytes: Vec<Vec<u64>>,
-}
+/// Result of [`run_group`]: per-worker output tensors (one per round),
+/// traffic stats, per-shard wire bytes and aggregator counters.
+pub type GroupResult = ShardedRunResult;
 
 /// Runs `rounds` AllReduce rounds over the lossless engine, one thread
-/// per node, with `inputs[w][r]` as worker `w`'s input for round `r`.
+/// per node, with `inputs[w][r]` as worker `w`'s input for round `r`:
+/// the [`ShardedAllReduce`] deployment with one-lane workers over one
+/// channel mesh.
 ///
 /// # Panics
 /// Panics when shapes don't match the config or a thread fails.
 pub fn run_group(cfg: &OmniConfig, inputs: Vec<Vec<Tensor>>) -> GroupResult {
-    assert_eq!(inputs.len(), cfg.num_workers, "one input set per worker");
-    let rounds = inputs[0].len();
-    for i in &inputs {
-        assert_eq!(i.len(), rounds, "same round count per worker");
-    }
     let mut net = ChannelNetwork::new(cfg.mesh_size());
-
-    let mut agg_handles = Vec::new();
-    for a in 0..cfg.num_aggregators {
-        let t = net.endpoint(NodeId(cfg.aggregator_node(a)));
-        let cfg = cfg.clone();
-        agg_handles.push(thread::spawn(move || {
-            let mut agg = OmniAggregator::new(t, cfg);
-            agg.run().expect("aggregator failed");
-        }));
-    }
-
-    let mut worker_handles = Vec::new();
-    for (w, tensors) in inputs.into_iter().enumerate() {
-        let t = net.endpoint(NodeId(cfg.worker_node(w)));
-        let cfg = cfg.clone();
-        worker_handles.push(thread::spawn(move || {
-            let mut worker = OmniWorker::new(t, cfg);
-            let mut outs = Vec::with_capacity(tensors.len());
-            for mut tensor in tensors {
-                worker.allreduce(&mut tensor).expect("allreduce failed");
-                outs.push(tensor);
-            }
-            let stats = worker.stats();
-            let shard_bytes = worker.shard_bytes().to_vec();
-            worker.shutdown().expect("shutdown failed");
-            (outs, stats, shard_bytes)
-        }));
-    }
-
-    let mut outputs = Vec::new();
-    let mut stats = Vec::new();
-    let mut shard_bytes = Vec::new();
-    for h in worker_handles {
-        let (o, s, b) = h.join().expect("worker thread panicked");
-        outputs.push(o);
-        stats.push(s);
-        shard_bytes.push(b);
-    }
-    for h in agg_handles {
-        h.join().expect("aggregator thread panicked");
-    }
-    GroupResult {
-        outputs,
-        stats,
-        shard_bytes,
-    }
+    let aggs = (0..cfg.num_aggregators)
+        .map(|a| net.endpoint(NodeId(cfg.aggregator_node(a))))
+        .collect();
+    let lanes = (0..cfg.num_workers)
+        .map(|w| vec![net.endpoint(NodeId(cfg.worker_node(w)))])
+        .collect();
+    ShardedAllReduce::run_lossless_over(cfg, inputs, lanes, aggs, None)
 }
 
 /// Result of [`run_recovery_group`].

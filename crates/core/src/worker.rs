@@ -1,5 +1,6 @@
-//! The OmniReduce worker engine for reliable transports (Algorithm 1 with
-//! Block Fusion and parallel streams).
+//! The OmniReduce worker driver for reliable transports: Algorithm 1
+//! ([`crate::proto::WorkerMachine`]) on a protocol thread over one or
+//! more transport lanes.
 //!
 //! One `allreduce` call runs the full protocol for one tensor:
 //!
@@ -9,17 +10,19 @@
 //!    blocks unconditionally, each entry carrying this worker's next
 //!    non-zero block in that column;
 //! 3. loop: on each result packet, store the aggregated blocks into the
-//!    local tensor, and for every column whose newly requested block
-//!    matches this worker's next non-zero block, send it (with the
-//!    subsequent next); a stream finishes when every column's request
-//!    is ∞.
+//!    local tensor, and send every block the machine offers in reply; the
+//!    round finishes when every shard's streams are done.
 //!
 //! All streams are outstanding concurrently — that is the fine-grained
-//! pipelining of §3.1.1; a single protocol thread multiplexes them off
-//! one receive queue.
+//! pipelining of §3.1.1. With one lane every aggregator shard is
+//! multiplexed over one transport and the thread blocks in `recv`; with
+//! one lane per shard ([`crate::shard::ShardedWorker`]) stream `g` rides
+//! lane `shard_of_stream(g)` and receives poll the lanes fairly.
+
+use std::time::Duration;
 
 use omnireduce_telemetry::{Counter, FlightEventKind, FlightLane, LaneRole, Telemetry, NO_BLOCK};
-use omnireduce_tensor::{BlockIdx, NonZeroBitmap, Tensor, INFINITY_BLOCK};
+use omnireduce_tensor::{NonZeroBitmap, Tensor};
 use omnireduce_transport::{
     codec, BufferPool, Entry, Message, NodeId, Packet, PacketKind, Transport, TransportError,
 };
@@ -27,7 +30,12 @@ use omnireduce_transport::{
 use crate::config::OmniConfig;
 use crate::instrument::EngineTrace;
 use crate::layout::StreamLayout;
+use crate::proto::{Offer, WorkerMachine};
 use crate::wire::{decode_next, encode_next};
+
+/// How long one lane is polled before rotating while waiting for
+/// results on a multi-lane worker (mirrors the bond's fairness slice).
+const LANE_POLL: Duration = Duration::from_micros(200);
 
 /// Traffic counters for one worker, used by tests and by the Table 1
 /// "OmniReduce communication volume" reproduction.
@@ -45,59 +53,40 @@ pub struct WorkerStats {
     pub rounds_completed: u64,
 }
 
-/// Fleet-wide `core.worker.*` registry mirrors of [`WorkerStats`]
-/// (detached no-ops unless built via [`OmniWorker::with_telemetry`]).
+/// Fleet-wide `core.worker.*` registry mirrors of [`WorkerStats`], plus
+/// `core.shard.shutdown_errors` (detached no-ops unless built with
+/// telemetry).
 struct WorkerCounters {
     packets_sent: Counter,
     bytes_sent: Counter,
     blocks_sent: Counter,
     results_received: Counter,
     rounds_completed: Counter,
+    shutdown_errors: Counter,
 }
 
 impl WorkerCounters {
-    fn detached() -> Self {
+    fn new(telemetry: Option<&Telemetry>) -> Self {
+        let c = |name| telemetry.map_or_else(Counter::detached, |t| t.counter(name));
         WorkerCounters {
-            packets_sent: Counter::detached(),
-            bytes_sent: Counter::detached(),
-            blocks_sent: Counter::detached(),
-            results_received: Counter::detached(),
-            rounds_completed: Counter::detached(),
+            packets_sent: c("core.worker.packets_sent"),
+            bytes_sent: c("core.worker.bytes_sent"),
+            blocks_sent: c("core.worker.blocks_sent"),
+            results_received: c("core.worker.results_received"),
+            rounds_completed: c("core.worker.rounds_completed"),
+            shutdown_errors: c("core.shard.shutdown_errors"),
         }
     }
-
-    fn registered(telemetry: &Telemetry) -> Self {
-        WorkerCounters {
-            packets_sent: telemetry.counter("core.worker.packets_sent"),
-            bytes_sent: telemetry.counter("core.worker.bytes_sent"),
-            blocks_sent: telemetry.counter("core.worker.blocks_sent"),
-            results_received: telemetry.counter("core.worker.results_received"),
-            rounds_completed: telemetry.counter("core.worker.rounds_completed"),
-        }
-    }
-}
-
-/// Per-column protocol state within one stream.
-struct ColState {
-    /// This worker's next untransmitted non-zero block in the column.
-    my_next: BlockIdx,
-    /// The column finished (aggregator requested ∞).
-    done: bool,
-}
-
-/// Per-stream protocol state.
-struct StreamState {
-    cols: Vec<Option<ColState>>, // None for invalid (past-end) columns
-    remaining: usize,            // active columns not yet done
 }
 
 /// The worker engine. Generic over the transport, so the same code runs
 /// over in-process channels, TCP sockets, or tests' mocks.
 pub struct OmniWorker<T: Transport> {
-    transport: T,
+    /// One lane (every shard multiplexed) or one lane per shard.
+    lanes: Vec<T>,
     cfg: OmniConfig,
-    layout: StreamLayout,
     wid: u16,
+    machine: WorkerMachine,
     stats: WorkerStats,
     /// Wire bytes sent per destination shard (index = shard); sums to
     /// `stats.bytes_sent`. Multi-aggregator deployments account each
@@ -112,38 +101,15 @@ pub struct OmniWorker<T: Transport> {
     /// is checked out here instead of `to_vec()`-ing the block, and
     /// returns after the send (DESIGN §9).
     pool: BufferPool,
+    /// Fair-poll rotation over lanes.
+    cursor: usize,
 }
 
 impl<T: Transport> OmniWorker<T> {
     /// Creates the engine for worker `wid` (must equal the transport's
     /// node id).
     pub fn new(transport: T, cfg: OmniConfig) -> Self {
-        cfg.validate();
-        let wid = transport.local_id().0;
-        assert!(
-            (wid as usize) < cfg.num_workers,
-            "transport node {wid} is not a worker"
-        );
-        let layout = StreamLayout::new(
-            cfg.block_spec(),
-            cfg.fusion,
-            cfg.total_streams(),
-            cfg.tensor_len,
-        );
-        let pool = BufferPool::for_block_size(cfg.block_size);
-        let shard_bytes = vec![0; cfg.num_aggregators];
-        OmniWorker {
-            transport,
-            cfg,
-            layout,
-            wid,
-            stats: WorkerStats::default(),
-            shard_bytes,
-            counters: WorkerCounters::detached(),
-            trace: EngineTrace::disabled(),
-            flight: FlightLane::disabled(),
-            pool,
-        }
+        Self::over_lanes(vec![transport], cfg)
     }
 
     /// Like [`OmniWorker::new`], but mirrors traffic counters into
@@ -151,15 +117,51 @@ impl<T: Transport> OmniWorker<T> {
     /// `allreduce` span per round on a `worker{wid}` track when the
     /// registry's trace recorder is enabled.
     pub fn with_telemetry(transport: T, cfg: OmniConfig, telemetry: &Telemetry) -> Self {
-        let mut w = Self::new(transport, cfg);
-        w.counters = WorkerCounters::registered(telemetry);
-        w.trace = EngineTrace::new(telemetry, &format!("worker{}", w.wid));
-        w.flight = telemetry
-            .flight()
-            .lane(&format!("worker{}", w.wid), LaneRole::Worker, w.wid);
-        w.pool = BufferPool::for_block_size(w.cfg.block_size)
-            .with_telemetry(&format!("worker{}", w.wid), telemetry);
-        w
+        Self::new(transport, cfg).attach(telemetry)
+    }
+
+    /// Creates the engine over one lane, or one lane per aggregator
+    /// shard (index = shard). All lanes must agree on the worker id.
+    pub(crate) fn over_lanes(lanes: Vec<T>, cfg: OmniConfig) -> Self {
+        cfg.validate();
+        assert!(
+            lanes.len() == 1 || lanes.len() == cfg.num_aggregators,
+            "one lane, or one lane per aggregator shard"
+        );
+        let wid = lanes[0].local_id().0;
+        for l in &lanes {
+            assert_eq!(l.local_id().0, wid, "lanes must share the worker id");
+        }
+        assert!(
+            (wid as usize) < cfg.num_workers,
+            "transport node {wid} is not a worker"
+        );
+        OmniWorker {
+            lanes,
+            machine: WorkerMachine::new(&cfg),
+            wid,
+            stats: WorkerStats::default(),
+            shard_bytes: vec![0; cfg.num_aggregators],
+            counters: WorkerCounters::new(None),
+            trace: EngineTrace::disabled(),
+            flight: FlightLane::disabled(),
+            pool: BufferPool::for_block_size(cfg.block_size),
+            cursor: 0,
+            cfg,
+        }
+    }
+
+    /// Registers the `core.worker.*` counters, the `worker{wid}` trace
+    /// track and flight lane, and the pool's telemetry — the same set
+    /// whichever constructor built the engine.
+    pub(crate) fn attach(mut self, telemetry: &Telemetry) -> Self {
+        let name = format!("worker{}", self.wid);
+        self.counters = WorkerCounters::new(Some(telemetry));
+        self.trace = EngineTrace::new(telemetry, &name);
+        self.flight = telemetry.flight().lane(&name, LaneRole::Worker, self.wid);
+        self.pool =
+            BufferPool::for_block_size(self.cfg.block_size).with_telemetry(&name, telemetry);
+        self
     }
 
     /// Traffic counters so far.
@@ -191,42 +193,16 @@ impl<T: Transport> OmniWorker<T> {
         self.flight
             .record(FlightEventKind::RoundStart, round, NO_BLOCK, 0, self.wid, 0);
         let encode_t0 = self.flight.now_ns();
-        let bitmap = NonZeroBitmap::build(tensor, self.cfg.block_spec());
-        let skip = self.cfg.skip_zero_blocks;
-        let layout = self.layout;
-
-        // Initialize stream states and send first-row packets.
-        let mut streams: Vec<Option<StreamState>> =
-            (0..layout.total_streams()).map(|_| None).collect();
-        let mut pending = 0usize;
+        let layout = *self.machine.layout();
+        self.machine
+            .start_round(NonZeroBitmap::build(tensor, self.cfg.block_spec()));
         for g in layout.active_streams() {
-            let mut cols: Vec<Option<ColState>> = Vec::with_capacity(layout.width());
             let mut entries = self.pool.checkout_entries();
-            let mut remaining = 0usize;
-            for c in 0..layout.width() {
-                match layout.first_block(g, c) {
-                    Some(b0) => {
-                        let my_next = layout.next_block(&bitmap, g, c, Some(b0), skip);
-                        // Pooled copy of the block (no `to_vec` per block).
-                        let mut data = self.pool.checkout_f32();
-                        data.extend_from_slice(&tensor[layout.block_range(b0)]);
-                        entries.push(Entry::data(
-                            b0,
-                            encode_next(my_next, c, layout.width()),
-                            data,
-                        ));
-                        cols.push(Some(ColState {
-                            my_next,
-                            done: false,
-                        }));
-                        remaining += 1;
-                    }
-                    None => cols.push(None),
-                }
-            }
+            let pool = &mut self.pool;
+            self.machine.first_row(g, |o| {
+                entries.push(data_entry(pool, &layout, tensor, o));
+            });
             self.send_data(g, entries)?;
-            streams[g] = Some(StreamState { cols, remaining });
-            pending += 1;
         }
         self.flight.record(
             FlightEventKind::Encode,
@@ -237,10 +213,8 @@ impl<T: Transport> OmniWorker<T> {
             self.flight.now_ns().saturating_sub(encode_t0),
         );
 
-        // Main loop: process results until every stream completes.
-        while pending > 0 {
-            let (_, msg) = self.transport.recv()?;
-            let packet = match msg {
+        while !self.machine.round_done() {
+            let packet = match self.recv()? {
                 Message::Block(p) if p.kind == PacketKind::Result => p,
                 other => panic!("worker: unexpected message {:?}", other.tag()),
             };
@@ -255,7 +229,6 @@ impl<T: Transport> OmniWorker<T> {
                 self.wid,
                 packet.entries.len() as u64,
             );
-            let state = streams[g].as_mut().expect("result for unknown stream");
             let mut reply = self.pool.checkout_entries();
             for entry in &packet.entries {
                 let (col, requested) = decode_next(entry.next, layout.width());
@@ -263,39 +236,14 @@ impl<T: Transport> OmniWorker<T> {
                 if !entry.data.is_empty() {
                     tensor.copy_slice_at(layout.block_range(entry.block).start, &entry.data);
                 }
-                let cs = state.cols[col]
-                    .as_mut()
-                    .expect("result entry for invalid column");
-                if cs.done {
-                    continue;
+                if let Some(o) = self.machine.on_result(g, col, requested) {
+                    reply.push(data_entry(&mut self.pool, &layout, tensor, o));
                 }
-                if requested == INFINITY_BLOCK {
-                    cs.done = true;
-                    state.remaining -= 1;
-                    continue;
-                }
-                if cs.my_next == requested {
-                    let new_next = layout.next_block(&bitmap, g, col, Some(requested), skip);
-                    let mut data = self.pool.checkout_f32();
-                    data.extend_from_slice(&tensor[layout.block_range(requested)]);
-                    reply.push(Entry::data(
-                        requested,
-                        encode_next(new_next, col, layout.width()),
-                        data,
-                    ));
-                    cs.my_next = new_next;
-                }
-                // requested < my_next: another worker owns it; stay silent
-                // (Algorithm 1 — the aggregator already has our next).
             }
-            if !reply.is_empty() {
-                self.send_data(g, reply)?;
-            } else {
+            if reply.is_empty() {
                 self.pool.checkin_entries(reply);
-            }
-            if state.remaining == 0 {
-                streams[g] = None;
-                pending -= 1;
+            } else {
+                self.send_data(g, reply)?;
             }
         }
         self.stats.rounds_completed += 1;
@@ -306,8 +254,35 @@ impl<T: Transport> OmniWorker<T> {
         Ok(())
     }
 
+    /// The lane carrying shard `s`'s traffic.
+    fn lane(&self, s: usize) -> &T {
+        &self.lanes[s % self.lanes.len()]
+    }
+
+    /// Blocks until a message arrives: directly on a single lane, or in
+    /// a fair polling sweep over several.
+    fn recv(&mut self) -> Result<Message, TransportError> {
+        if let [lane] = self.lanes.as_slice() {
+            return Ok(lane.recv()?.1);
+        }
+        let n = self.lanes.len();
+        loop {
+            for i in 0..n {
+                let lane = (self.cursor + i) % n;
+                if let Some((_, msg)) = self.lanes[lane].recv_timeout(LANE_POLL)? {
+                    self.cursor = (lane + 1) % n;
+                    return Ok(msg);
+                }
+            }
+        }
+    }
+
     fn send_data(&mut self, stream: usize, entries: Vec<Entry>) -> Result<(), TransportError> {
         let blocks = entries.iter().filter(|e| !e.is_ack()).count() as u64;
+        // One flight event per fused message (not per block), keyed by
+        // the first entry's block — the aggregator mirrors the key on
+        // its PacketRx so the reconstructor can pair them.
+        let first_block = entries.first().map(|e| e.block);
         let msg = Message::Block(Packet {
             kind: PacketKind::Data,
             ver: 0,
@@ -326,23 +301,18 @@ impl<T: Transport> OmniWorker<T> {
         self.counters.bytes_sent.add(wire_bytes);
         let shard = self.cfg.shard_of_stream(stream);
         self.shard_bytes[shard] += wire_bytes;
-        // One flight event per fused message (not per block), keyed by
-        // the first entry's block — the aggregator mirrors the key on
-        // its PacketRx so the reconstructor can pair them.
-        if let Message::Block(p) = &msg {
-            if let Some(first) = p.entries.first() {
-                self.flight.record(
-                    FlightEventKind::PacketTx,
-                    self.stats.rounds_completed as u32,
-                    first.block as u64,
-                    shard as u16,
-                    self.wid,
-                    wire_bytes,
-                );
-            }
+        if let Some(block) = first_block {
+            self.flight.record(
+                FlightEventKind::PacketTx,
+                self.stats.rounds_completed as u32,
+                block as u64,
+                shard as u16,
+                self.wid,
+                wire_bytes,
+            );
         }
         let sent = self
-            .transport
+            .lane(shard)
             .send(NodeId(self.cfg.aggregator_node(shard)), &msg);
         // `send` borrows the message; its pooled buffers come back for
         // the next packet (DESIGN §9).
@@ -352,11 +322,30 @@ impl<T: Transport> OmniWorker<T> {
 
     /// Tells every aggregator shard this worker is leaving; aggregators
     /// exit once all workers have said goodbye.
+    ///
+    /// A dead shard must not keep the goodbye from reaching the
+    /// surviving ones, so every shard is attempted even after a failure.
+    /// Failed goodbyes are counted in `core.shard.shutdown_errors` and
+    /// the first error is returned once all shards have been tried.
     pub fn shutdown(self) -> Result<(), TransportError> {
-        for a in 0..self.cfg.num_aggregators {
-            self.transport
-                .send(NodeId(self.cfg.aggregator_node(a)), &Message::Shutdown)?;
+        let mut first_err = None;
+        for s in 0..self.cfg.num_aggregators {
+            let sent = self
+                .lane(s)
+                .send(NodeId(self.cfg.aggregator_node(s)), &Message::Shutdown);
+            if let Err(e) = sent {
+                self.counters.shutdown_errors.inc();
+                first_err.get_or_insert(e);
+            }
         }
-        Ok(())
+        first_err.map_or(Ok(()), Err)
     }
+}
+
+/// A data entry for offer `o`: a pooled copy of the block (no `to_vec`
+/// per block) carrying the offer's next.
+fn data_entry(pool: &mut BufferPool, layout: &StreamLayout, tensor: &Tensor, o: Offer) -> Entry {
+    let mut data = pool.checkout_f32();
+    data.extend_from_slice(&tensor[layout.block_range(o.block)]);
+    Entry::data(o.block, encode_next(o.next, o.col, layout.width()), data)
 }

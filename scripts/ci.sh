@@ -105,6 +105,14 @@ step "differential (core conformance, incl. sharded column)" \
 step "differential (workspace engines, per-shard bytes)" \
   cargo test "${CARGO_FLAGS[@]}" -p omnireduce --test differential -q
 
+# Algorithm 1 schedule exploration: the bare WorkerMachine/AggMachine
+# pair driven through seeded random delivery orders over every lossless
+# scenario point, bit-identical to the scalar oracle with run_group's
+# per-shard wire bytes. No threads, sleeps or clocks — nothing can hang,
+# so no timeout belt.
+step "proto schedules (thread-free Algorithm 1 machines)" \
+  cargo test "${CARGO_FLAGS[@]}" -p omnireduce-core --test proto_schedules -q
+
 # Flight-recorder suite (§11 observability): chaos runs with the
 # recorder on must stay bit-identical to recorder-off runs, the
 # reconstructor must recover every round, and the seeded straggler /
