@@ -4,10 +4,12 @@
 //! engines that aggregate only the non-zero blocks of the input tensors,
 //! coordinated by a look-ahead "next non-zero block" exchange:
 //!
-//! * [`proto`] — the sans-IO Algorithm 1 core with Block Fusion (§3.2)
-//!   and parallel streams (§3.1.1): one [`proto::WorkerMachine`] and one
-//!   [`proto::AggMachine`], owning no transport, thread or clock. Every
-//!   Algorithm 1 engine below is a driver of these two machines.
+//! * [`proto`] — the sans-IO protocol core with Block Fusion (§3.2) and
+//!   parallel streams (§3.1.1): Algorithm 1's [`proto::WorkerMachine`]
+//!   and [`proto::AggMachine`], and Algorithm 2's
+//!   [`proto::RecWorkerMachine`] and [`proto::RecAggMachine`], owning no
+//!   transport, thread or clock. Every engine below is a driver of these
+//!   machines.
 //! * [`worker::OmniWorker`] / [`aggregator::OmniAggregator`] — the thread
 //!   drivers for reliable transports (the paper's RDMA RC mode); the
 //!   worker runs over one transport or, as [`shard::ShardedWorker`], one
@@ -27,8 +29,8 @@
 //! * [`sim`] — the same two machines driven as
 //!   [`omnireduce_simnet`] actors, used by the benchmark harness to
 //!   reproduce the paper's timing figures on simulated 10/100 Gbps
-//!   fabrics; [`sim_recovery`] adds the Algorithm 2 actors with
-//!   simulated timers over a lossy fabric.
+//!   fabrics; [`sim_recovery`] drives the Algorithm 2 machines the same
+//!   way, with simulated timers over a lossy fabric.
 //! * [`staging`] — the Appendix B chunk-prefetch pipeline that overlaps
 //!   the GPU→host copy with transmission on the non-GDR path.
 //! * [`collective`] — AllGather and Broadcast expressed on the same

@@ -131,6 +131,14 @@ impl WorkerMachine {
         })
     }
 
+    /// This worker's next untransmitted non-zero block in stream `g`'s
+    /// column `col`; `None` once the column is finished.
+    #[inline]
+    pub fn my_next(&self, g: usize, col: usize) -> Option<BlockIdx> {
+        let cursor = self.cursors[g * self.layout.width() + col];
+        (!cursor.done).then_some(cursor.my_next)
+    }
+
     /// True once every shard's streams finished this round.
     pub fn round_done(&self) -> bool {
         self.join.round_done()

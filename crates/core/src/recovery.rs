@@ -1,54 +1,27 @@
 //! Loss-recovery engines (Algorithm 2, Appendix A): OmniReduce over a
-//! network that may drop or duplicate packets.
-//!
-//! Differences from the lossless engines:
-//!
-//! * **Everyone always answers.** Each worker responds to every result
-//!   packet for every active column — with block data when it owns the
-//!   requested block, with a data-less acknowledgment otherwise — so the
-//!   aggregator can use a per-phase *count of distinct workers* as the
-//!   completion condition instead of the min-next comparison.
-//! * **Timers.** A worker arms a retransmission timer for every packet it
-//!   sends and resends on expiry; receiving the matching result cancels
-//!   the timer.
-//! * **Two-phase versioned slots.** The aggregator keeps two versions of
-//!   every slot's state, used in alternating phases. Version `v` is only
-//!   reused once every worker has sent a packet for version `v̂` — which a
-//!   worker does only after receiving version `v`'s result — so a
-//!   completed result stays available for retransmission exactly as long
-//!   as any worker might still need it.
-//! * **Dedup.** A per-version `seen` bit per worker keeps duplicated or
-//!   retransmitted packets from being aggregated twice; a duplicate for a
-//!   *completed* phase triggers a unicast retransmission of that phase's
-//!   result to the sender (the aggregator-side loss repair).
-//!
-//! Delivery assumption: like the paper's DPDK deployment, the network may
-//! drop or duplicate packets but does not reorder packets between a given
-//! pair of nodes ([`omnireduce_transport::LossyNetwork`] guarantees this).
+//! network that may drop or duplicate packets but, like the paper's DPDK
+//! deployment, does not reorder packets between a pair of nodes
+//! ([`omnireduce_transport::LossyNetwork`] guarantees this). These are
+//! the thread drivers of [`RecWorkerMachine`] and [`RecAggMachine`]; the
+//! protocol itself is described in [`crate::proto`].
 
 use std::time::{Duration, Instant};
 
 use omnireduce_telemetry::{
     Counter, FlightEventKind, FlightLane, Gauge, Histogram, LaneRole, Telemetry, NO_BLOCK,
 };
-use omnireduce_tensor::{BlockIdx, NonZeroBitmap, Tensor, INFINITY_BLOCK};
-use omnireduce_transport::timer::{RttEstimator, TimerQueue};
+use omnireduce_tensor::{NonZeroBitmap, Tensor};
+use omnireduce_transport::timer::TimerQueue;
 use omnireduce_transport::{
     codec, BufferPool, CheckpointDelta, Entry, Message, NodeId, Packet, PacketKind, Transport,
-    TransportError, MEMBERSHIP_ONLY,
+    TransportError,
 };
 
-use crate::config::{DegradedMode, OmniConfig};
+use crate::config::OmniConfig;
 use crate::error::ProtocolError;
-
-/// True if membership epoch `a` precedes `b` in wrapping (mod 256)
-/// order. Epochs only ever move forward, one bump per membership
-/// change, so any two live epochs are within half the ring of each
-/// other and the comparison is unambiguous.
-pub(crate) fn epoch_before(a: u8, b: u8) -> bool {
-    a != b && b.wrapping_sub(a) < 128
-}
-use crate::layout::StreamLayout;
+use crate::proto::{
+    Admit, Answer, Expiry, JoinVerdict, RecAggMachine, RecWorkerMachine, RtoPolicy,
+};
 use crate::slot::ColAccumulator;
 use crate::wire::{decode_next, encode_next};
 
@@ -81,71 +54,64 @@ pub struct RecoveryStats {
     pub failovers: u64,
 }
 
-/// Fleet-wide `core.recovery.*` registry mirrors of [`RecoveryStats`]
-/// (detached no-ops unless built via [`RecoveryWorker::with_telemetry`]).
-struct RecoveryCounters {
-    packets_sent: Counter,
-    retransmissions: Counter,
-    bytes_sent: Counter,
-    blocks_sent: Counter,
-    timer_fires: Counter,
-    stale_results_ignored: Counter,
-    backoffs: Counter,
-    peer_unresponsive: Counter,
-    solicited_retransmissions: Counter,
+/// Registry mirrors of [`RecoveryStats`] under a prefix: `core.recovery`
+/// live, `core.sim_recovery` in the simulator. Detached no-ops without a
+/// registry.
+#[derive(Clone)]
+pub(crate) struct RecoveryCounters {
+    pub(crate) packets_sent: Counter,
+    pub(crate) retransmissions: Counter,
+    pub(crate) bytes_sent: Counter,
+    pub(crate) blocks_sent: Counter,
+    pub(crate) timer_fires: Counter,
+    pub(crate) stale_results_ignored: Counter,
+    pub(crate) backoffs: Counter,
+    pub(crate) peer_unresponsive: Counter,
+    pub(crate) solicited_retransmissions: Counter,
     failovers: Counter,
-    /// `core.recovery.shutdown_errors`: departure announcements that
-    /// failed to send (the wind-down path keeps going instead of
-    /// aborting on the first dead lane).
+    /// `.shutdown_errors`: departure announcements that failed to send
+    /// (the wind-down path keeps going instead of aborting on the first
+    /// dead lane).
     shutdown_errors: Counter,
-    /// `core.recovery.rto`: the RTO armed for each sent packet, in µs.
+    /// `.rto`: the RTO armed for each sent packet, in µs.
     rto: Histogram,
-    /// `core.recovery.rto_ns`: the last armed RTO, in ns — the live
-    /// level the time-series RTO-inflation detector watches.
+    /// `.rto_ns`: the last armed RTO, in ns — the live level the
+    /// time-series RTO-inflation detector watches.
     rto_ns: Gauge,
-    /// `core.recovery.srtt_ns`: the estimator's smoothed RTT, in ns
-    /// (0 until the first un-retransmitted sample), published beside
-    /// `rto_ns` so inflation can be told apart from genuine RTT growth.
+    /// `.srtt_ns`: the estimator's smoothed RTT, in ns (0 until the first
+    /// un-retransmitted sample), published beside `rto_ns` so inflation
+    /// can be told apart from genuine RTT growth.
     srtt_ns: Gauge,
 }
 
 impl RecoveryCounters {
-    fn detached() -> Self {
+    pub(crate) fn new(telemetry: Option<&Telemetry>, prefix: &str) -> Self {
+        let name = |n: &str| format!("{prefix}.{n}");
+        let c = |n| telemetry.map_or_else(Counter::detached, |t| t.counter(&name(n)));
+        let g = |n| telemetry.map_or_else(Gauge::default, |t| t.gauge(&name(n)));
         RecoveryCounters {
-            packets_sent: Counter::detached(),
-            retransmissions: Counter::detached(),
-            bytes_sent: Counter::detached(),
-            blocks_sent: Counter::detached(),
-            timer_fires: Counter::detached(),
-            stale_results_ignored: Counter::detached(),
-            backoffs: Counter::detached(),
-            peer_unresponsive: Counter::detached(),
-            solicited_retransmissions: Counter::detached(),
-            failovers: Counter::detached(),
-            shutdown_errors: Counter::detached(),
-            rto: Histogram::detached(),
-            rto_ns: Gauge::default(),
-            srtt_ns: Gauge::default(),
+            packets_sent: c("packets_sent"),
+            retransmissions: c("retransmissions"),
+            bytes_sent: c("bytes_sent"),
+            blocks_sent: c("blocks_sent"),
+            timer_fires: c("timer_fires"),
+            stale_results_ignored: c("stale_results_ignored"),
+            backoffs: c("backoffs"),
+            peer_unresponsive: c("peer_unresponsive"),
+            solicited_retransmissions: c("solicited_retransmissions"),
+            failovers: c("failovers"),
+            shutdown_errors: c("shutdown_errors"),
+            rto: telemetry.map_or_else(Histogram::detached, |t| t.histogram(&name("rto"))),
+            rto_ns: g("rto_ns"),
+            srtt_ns: g("srtt_ns"),
         }
     }
 
-    fn registered(telemetry: &Telemetry) -> Self {
-        RecoveryCounters {
-            packets_sent: telemetry.counter("core.recovery.packets_sent"),
-            retransmissions: telemetry.counter("core.recovery.retransmissions"),
-            bytes_sent: telemetry.counter("core.recovery.bytes_sent"),
-            blocks_sent: telemetry.counter("core.recovery.blocks_sent"),
-            timer_fires: telemetry.counter("core.recovery.timer_fires"),
-            stale_results_ignored: telemetry.counter("core.recovery.stale_results_ignored"),
-            backoffs: telemetry.counter("core.recovery.backoffs"),
-            peer_unresponsive: telemetry.counter("core.recovery.peer_unresponsive"),
-            solicited_retransmissions: telemetry.counter("core.recovery.solicited_retransmissions"),
-            failovers: telemetry.counter("core.recovery.failovers"),
-            shutdown_errors: telemetry.counter("core.recovery.shutdown_errors"),
-            rto: telemetry.histogram("core.recovery.rto"),
-            rto_ns: telemetry.gauge("core.recovery.rto_ns"),
-            srtt_ns: telemetry.gauge("core.recovery.srtt_ns"),
-        }
+    /// Records an RTO about to be armed, beside the smoothed RTT.
+    pub(crate) fn note_rto(&self, rto: Duration, srtt: Option<Duration>) {
+        self.rto.record(rto.as_micros() as u64);
+        self.rto_ns.set(rto.as_nanos() as u64);
+        self.srtt_ns.set(srtt.map_or(0, |d| d.as_nanos() as u64));
     }
 }
 
@@ -154,63 +120,53 @@ impl RecoveryCounters {
 /// derive the key from the same packet, so tx and rx events match.
 fn first_block(msg: &Message) -> u64 {
     match msg {
-        Message::Block(p) => p
-            .entries
-            .first()
-            .map(|e| e.block as u64)
-            .unwrap_or(NO_BLOCK),
+        Message::Block(p) => p.entries.first().map_or(NO_BLOCK, |e| e.block as u64),
         _ => NO_BLOCK,
     }
 }
 
-struct WorkerCol {
-    my_next: BlockIdx,
-    done: bool,
+/// Why an outstanding packet goes out again.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Resend {
+    /// Its timer expired after `waited_ns` of waiting.
+    Timer { waited_ns: u64 },
+    /// Its shard failed over to the standby.
+    Failover,
+    /// The shard NACKed it.
+    Nack,
 }
 
-/// The packet a worker is waiting to see answered on one stream.
-struct Outstanding {
-    msg: Message,
-    /// When the packet was first sent (for RTT sampling and for the
-    /// `elapsed` field of [`ProtocolError::PeerUnresponsive`]).
-    sent_at: Instant,
-    /// Karn's rule: once a packet has been retransmitted, its eventual
-    /// answer is ambiguous and must not feed the RTT estimator.
-    retransmitted: bool,
-    /// Consecutive unanswered retransmissions of this packet.
-    retx: u32,
+impl Resend {
+    /// The flight events of a resend of `wire_bytes`, as `(kind, aux)`:
+    /// the cause, then a re-keyed `PacketTx` so the aggregator's
+    /// eventual rx pairs with this resend, not the lost original.
+    pub(crate) fn events(self, wire_bytes: u64) -> impl Iterator<Item = (FlightEventKind, u64)> {
+        use FlightEventKind::*;
+        let (cause, kind) = match self {
+            // aux = time burnt waiting so far: the recovery overhead.
+            Resend::Timer { waited_ns } => (Some((RtoFire, waited_ns)), Retransmit),
+            Resend::Failover => (None, Retransmit),
+            Resend::Nack => (Some((NackRx, 0)), SolicitedResend),
+        };
+        cause
+            .into_iter()
+            .chain([(kind, wire_bytes), (PacketTx, wire_bytes)])
+    }
 }
 
-struct WorkerStream {
-    cols: Vec<Option<WorkerCol>>,
-    remaining: usize,
-    /// Last packet sent; retransmitted on timeout.
-    outstanding: Option<Outstanding>,
-}
-
-/// Worker engine with Algorithm 2 loss recovery.
+/// Worker engine with Algorithm 2 loss recovery: the thread driver of
+/// [`RecWorkerMachine`]. It owns the transport, the packets (pooled
+/// buffers, kept per stream for retransmission), the timers and the
+/// counters; the machine decides everything else.
 pub struct RecoveryWorker<T: Transport> {
     transport: T,
     cfg: OmniConfig,
-    layout: StreamLayout,
     wid: u16,
-    /// Current membership epoch, adopted from results and `Welcome`
-    /// replies (DESIGN §12). Stamped into every outgoing packet.
-    epoch: u8,
-    /// Per-shard aggregator target node. Starts at the primary and is
-    /// re-pointed at the hot standby on failover.
-    agg: Vec<u16>,
-    /// Per-shard: already failed over to the standby (one failover per
-    /// shard per run — a dead standby is fatal).
-    failed_over: Vec<bool>,
-    /// Per-shard failover start, pending the first post-failover
-    /// result (`FailoverBegin`..`FailoverEnd` downtime window).
-    failover_at: Vec<Option<Instant>>,
-    /// Per-stream protocol phase, persists across AllReduce rounds.
-    ver: Vec<u8>,
-    /// Per-shard RTT estimator (adaptive mode); persists across rounds
-    /// so later rounds start from a converged RTO.
-    rtt: Vec<RttEstimator>,
+    machine: RecWorkerMachine,
+    /// Per stream: the outstanding packet, resent on timeout or NACK.
+    packets: Vec<Option<Message>>,
+    /// Origin of the machine's `now_ns`.
+    clock: Instant,
     stats: RecoveryStats,
     /// Wire bytes sent per destination shard (index = shard), so
     /// multi-aggregator deployments can account each shard's traffic
@@ -239,48 +195,20 @@ impl<T: Transport> RecoveryWorker<T> {
             (wid as usize) < cfg.num_workers,
             "node {wid} is not a worker"
         );
-        let layout = StreamLayout::new(
-            cfg.block_spec(),
-            cfg.fusion,
-            cfg.total_streams(),
-            cfg.tensor_len,
-        );
-        let ver = vec![0u8; layout.total_streams()];
-        let rtt = (0..cfg.num_aggregators)
-            .map(|a| {
-                RttEstimator::new(
-                    cfg.retransmit_timeout,
-                    cfg.rto_min,
-                    cfg.rto_max,
-                    // Deterministic per-(worker, shard) jitter stream.
-                    0x9E37_79B9_7F4A_7C15 ^ ((wid as u64) << 16) ^ a as u64,
-                )
-            })
-            .collect();
-        let pool = BufferPool::for_block_size(cfg.block_size);
-        let shard_bytes = vec![0; cfg.num_aggregators];
-        let agg = (0..cfg.num_aggregators)
-            .map(|a| cfg.aggregator_node(a))
-            .collect();
-        let failed_over = vec![false; cfg.num_aggregators];
-        let failover_at = vec![None; cfg.num_aggregators];
+        let machine = RecWorkerMachine::new(&cfg, wid as usize, RtoPolicy::of(&cfg));
         RecoveryWorker {
             transport,
-            cfg,
-            layout,
             wid,
-            epoch: 0,
-            agg,
-            failed_over,
-            failover_at,
-            ver,
-            rtt,
+            packets: vec![None; machine.layout().total_streams()],
+            machine,
+            clock: Instant::now(),
             stats: RecoveryStats::default(),
-            shard_bytes,
-            counters: RecoveryCounters::detached(),
+            shard_bytes: vec![0; cfg.num_aggregators],
+            counters: RecoveryCounters::new(None, ""),
             flight: FlightLane::disabled(),
             rounds: 0,
-            pool,
+            pool: BufferPool::for_block_size(cfg.block_size),
+            cfg,
         }
     }
 
@@ -290,7 +218,7 @@ impl<T: Transport> RecoveryWorker<T> {
     /// recorder is enabled.
     pub fn with_telemetry(transport: T, cfg: OmniConfig, telemetry: &Telemetry) -> Self {
         let mut w = Self::new(transport, cfg);
-        w.counters = RecoveryCounters::registered(telemetry);
+        w.counters = RecoveryCounters::new(Some(telemetry), "core.recovery");
         w.flight = telemetry
             .flight()
             .lane(&format!("worker{}", w.wid), LaneRole::Worker, w.wid);
@@ -308,24 +236,31 @@ impl<T: Transport> RecoveryWorker<T> {
         &self.shard_bytes
     }
 
-    /// The RTO to arm for the next packet to `shard`: adaptive
-    /// (SRTT/RTTVAR with backoff and jitter) or the fixed configured
-    /// timeout. Recorded into the `core.recovery.rto` histogram (µs).
-    fn next_rto(&mut self, shard: usize) -> Duration {
-        let rto = if self.cfg.adaptive_rto {
-            self.rtt[shard].next_rto()
+    fn now_ns(&self) -> u64 {
+        self.clock.elapsed().as_nanos() as u64
+    }
+
+    /// Records a flight event of this worker's lane about `shard`.
+    fn record(&self, kind: FlightEventKind, block: u64, shard: usize, aux: u64) {
+        let (round, shard) = (self.rounds as u32, shard as u16);
+        self.flight.record(kind, round, block, shard, self.wid, aux);
+    }
+
+    /// The node `shard`'s packets go to: the primary, or the standby
+    /// once the shard failed over.
+    fn target(&self, shard: usize) -> u16 {
+        if self.machine.on_standby(shard) {
+            self.cfg.standby_node(shard)
         } else {
-            self.cfg.retransmit_timeout
-        };
-        self.counters.rto.record(rto.as_micros() as u64);
-        self.counters.rto_ns.set(rto.as_nanos() as u64);
-        self.counters.srtt_ns.set(
-            self.rtt[shard]
-                .srtt()
-                .map(|d| d.as_nanos() as u64)
-                .unwrap_or(0),
-        );
-        rto
+            self.cfg.aggregator_node(shard)
+        }
+    }
+
+    /// Arms stream `g`'s retransmission timer.
+    fn arm(&self, timers: &mut TimerQueue<usize>, g: usize, rto: Duration) {
+        let srtt = self.machine.srtt(self.machine.shard_of(g));
+        self.counters.note_rto(rto, srtt);
+        timers.arm(g, Instant::now(), rto);
     }
 
     /// Runs one AllReduce with loss recovery.
@@ -340,250 +275,51 @@ impl<T: Transport> RecoveryWorker<T> {
         self.flight
             .record(FlightEventKind::RoundStart, round, NO_BLOCK, 0, self.wid, 0);
         let encode_t0 = self.flight.now_ns();
-        let bitmap = NonZeroBitmap::build(tensor, self.cfg.block_spec());
-        let skip = self.cfg.skip_zero_blocks;
-        let layout = self.layout;
+        self.machine
+            .start_round(NonZeroBitmap::build(tensor, self.cfg.block_spec()));
+        let layout = *self.machine.layout();
         let width = layout.width();
-
-        let mut streams: Vec<Option<WorkerStream>> =
-            (0..layout.total_streams()).map(|_| None).collect();
         let mut timers: TimerQueue<usize> = TimerQueue::new();
-        let mut pending = 0usize;
-
         for g in layout.active_streams() {
-            let mut cols: Vec<Option<WorkerCol>> = Vec::with_capacity(width);
             let mut entries = self.pool.checkout_entries();
-            let mut remaining = 0usize;
-            for c in 0..width {
-                match layout.first_block(g, c) {
-                    Some(b0) => {
-                        let my_next = layout.next_block(&bitmap, g, c, Some(b0), skip);
-                        let mut data = self.pool.checkout_f32();
-                        data.extend_from_slice(&tensor[layout.block_range(b0)]);
-                        entries.push(Entry::data(b0, encode_next(my_next, c, width), data));
-                        cols.push(Some(WorkerCol {
-                            my_next,
-                            done: false,
-                        }));
-                        remaining += 1;
-                    }
-                    None => cols.push(None),
-                }
-            }
-            let msg = self.make_packet(g, entries);
-            self.send_tracked(g, &msg)?;
-            let rto = self.next_rto(self.cfg.shard_of_stream(g));
-            timers.arm(g, Instant::now(), rto);
-            streams[g] = Some(WorkerStream {
-                cols,
-                remaining,
-                outstanding: Some(Outstanding {
-                    msg,
-                    sent_at: Instant::now(),
-                    retransmitted: false,
-                    retx: 0,
-                }),
+            let pool = &mut self.pool;
+            self.machine.first_row(g, |o| {
+                let mut data = pool.checkout_f32();
+                data.extend_from_slice(&tensor[layout.block_range(o.block)]);
+                entries.push(Entry::data(
+                    o.block,
+                    encode_next(o.next, o.col, width),
+                    data,
+                ));
             });
-            pending += 1;
+            self.send_new(g, entries, &mut timers)?;
         }
-        self.flight.record(
-            FlightEventKind::Encode,
-            round,
-            NO_BLOCK,
-            0,
-            self.wid,
-            self.flight.now_ns().saturating_sub(encode_t0),
-        );
+        let encode_ns = self.flight.now_ns().saturating_sub(encode_t0);
+        self.record(FlightEventKind::Encode, NO_BLOCK, 0, encode_ns);
 
-        while pending > 0 {
-            let now = Instant::now();
-            let timeout = timers.until_next(now).unwrap_or(Duration::from_secs(3600));
+        while !self.machine.round_done() {
+            let timeout = timers
+                .until_next(Instant::now())
+                .unwrap_or(Duration::from_secs(3600));
             match self.transport.recv_timeout(timeout)? {
                 Some((_, Message::Block(p))) if p.kind == PacketKind::Result => {
-                    let g = p.slot as usize;
-                    let shard = self.cfg.shard_of_stream(g);
-                    // Any result reveals the group's current epoch;
-                    // adopt it before the staleness checks so even a
-                    // duplicate result keeps us current.
-                    if epoch_before(self.epoch, p.epoch) {
-                        self.epoch = p.epoch;
-                        self.flight.record(
-                            FlightEventKind::EpochChange,
-                            round,
-                            NO_BLOCK,
-                            shard as u16,
-                            self.wid,
-                            p.epoch as u64,
-                        );
-                    }
-                    self.flight.record(
-                        FlightEventKind::ResultRx,
-                        round,
-                        NO_BLOCK,
-                        shard as u16,
-                        self.wid,
-                        p.entries.len() as u64,
-                    );
-                    let Some(state) = streams[g].as_mut() else {
-                        // Stale result for a finished stream.
-                        self.stats.stale_results_ignored += 1;
-                        self.counters.stale_results_ignored.inc();
-                        continue;
-                    };
-                    if p.ver != self.ver[g] {
-                        // Duplicate of an already-processed phase.
-                        self.stats.stale_results_ignored += 1;
-                        self.counters.stale_results_ignored.inc();
-                        continue;
-                    }
-                    timers.cancel(&g);
-                    // First valid result after a failover: the standby
-                    // answered, the shard has recovered. aux = downtime.
-                    if let Some(t0) = self.failover_at[shard].take() {
-                        self.flight.record(
-                            FlightEventKind::FailoverEnd,
-                            round,
-                            NO_BLOCK,
-                            shard as u16,
-                            self.wid,
-                            t0.elapsed().as_nanos() as u64,
-                        );
-                    }
-                    if self.cfg.adaptive_rto {
-                        match &state.outstanding {
-                            Some(o) if !o.retransmitted => {
-                                self.rtt[shard].sample(o.sent_at.elapsed());
-                            }
-                            // Karn's rule: an answer to a retransmitted
-                            // packet is ambiguous — reset the backoff
-                            // but contribute no RTT sample.
-                            _ => self.rtt[shard].ack(),
-                        }
-                    }
-                    // Phase advances: the answered packet's buffers come
-                    // back to the pool before the reply is built.
-                    if let Some(o) = state.outstanding.take() {
-                        self.pool.recycle_message(o.msg);
-                    }
-                    self.ver[g] ^= 1;
-                    let mut reply = self.pool.checkout_entries();
-                    for entry in &p.entries {
-                        let (col, requested) = decode_next(entry.next, width);
-                        if !entry.data.is_empty() {
-                            tensor
-                                .copy_slice_at(layout.block_range(entry.block).start, &entry.data);
-                        }
-                        let cs = state.cols[col].as_mut().expect("invalid column");
-                        if cs.done {
-                            continue;
-                        }
-                        if requested == INFINITY_BLOCK {
-                            cs.done = true;
-                            state.remaining -= 1;
-                            continue;
-                        }
-                        if cs.my_next == requested {
-                            let new_next =
-                                layout.next_block(&bitmap, g, col, Some(requested), skip);
-                            let mut data = self.pool.checkout_f32();
-                            data.extend_from_slice(&tensor[layout.block_range(requested)]);
-                            reply.push(Entry::data(
-                                requested,
-                                encode_next(new_next, col, width),
-                                data,
-                            ));
-                            cs.my_next = new_next;
-                        } else {
-                            // Data-less acknowledgment (Algorithm 2 l.19–21).
-                            reply.push(Entry::ack(requested, encode_next(cs.my_next, col, width)));
-                        }
-                    }
-                    if state.remaining == 0 {
-                        debug_assert!(reply.is_empty(), "reply for a finished stream");
-                        self.pool.checkin_entries(reply);
-                        streams[g] = None;
-                        pending -= 1;
-                    } else {
-                        let msg = self.make_packet(g, reply);
-                        self.send_tracked(g, &msg)?;
-                        let rto = self.next_rto(self.cfg.shard_of_stream(g));
-                        timers.arm(g, Instant::now(), rto);
-                        streams[g].as_mut().unwrap().outstanding = Some(Outstanding {
-                            msg,
-                            sent_at: Instant::now(),
-                            retransmitted: false,
-                            retx: 0,
-                        });
-                    }
+                    self.on_result(&p, tensor, &mut timers)?;
                 }
                 Some((_, Message::Block(p))) if p.kind == PacketKind::Nack => {
-                    // Solicited retransmission: the shard is alive but
-                    // missing our contribution to this phase — resend
-                    // immediately instead of waiting for our timer.
                     let g = p.slot as usize;
-                    let Some(state) = streams[g].as_mut() else {
-                        continue; // finished stream: stale NACK
-                    };
-                    if p.ver != self.ver[g] {
-                        continue; // previous phase: stale NACK
+                    if let Some(rto) = self.machine.on_nack(g, p.ver) {
+                        self.resend(g, Resend::Nack, rto, &mut timers)?;
                     }
-                    let Some(o) = state.outstanding.as_mut() else {
-                        continue;
-                    };
-                    // Hearing from the shard proves it is alive: the
-                    // "consecutive unanswered" budget restarts. Karn's
-                    // rule still applies (the eventual answer must not
-                    // feed the estimator).
-                    o.retx = 0;
-                    o.retransmitted = true;
-                    let wire_bytes = codec::encoded_len(&o.msg) as u64;
-                    self.stats.retransmissions += 1;
-                    self.stats.solicited_retransmissions += 1;
-                    self.stats.bytes_sent += wire_bytes;
-                    self.counters.retransmissions.inc();
-                    self.counters.solicited_retransmissions.inc();
-                    self.counters.bytes_sent.add(wire_bytes);
-                    let shard = self.cfg.shard_of_stream(g);
-                    self.shard_bytes[shard] += wire_bytes;
-                    let block = first_block(&o.msg);
-                    self.flight.record(
-                        FlightEventKind::NackRx,
-                        round,
-                        block,
-                        shard as u16,
-                        self.wid,
-                        0,
-                    );
-                    self.flight.record(
-                        FlightEventKind::SolicitedResend,
-                        round,
-                        block,
-                        shard as u16,
-                        self.wid,
-                        wire_bytes,
-                    );
-                    // Re-keyed PacketTx so the aggregator's eventual rx
-                    // pairs with this resend, not the lost original.
-                    self.flight.record(
-                        FlightEventKind::PacketTx,
-                        round,
-                        block,
-                        shard as u16,
-                        self.wid,
-                        wire_bytes,
-                    );
-                    self.transport.send(NodeId(self.agg[shard]), &o.msg)?;
-                    let rto = self.next_rto(shard);
-                    timers.arm(g, Instant::now(), rto);
                 }
-                Some((_, Message::Welcome { epoch, .. })) => {
-                    // An unsolicited `Welcome` mid-collective carrying a
-                    // newer epoch is the aggregator's zombie answer
-                    // ([`DegradedMode::Rejoin`]): we were evicted and the
-                    // group has moved on. Fail fast so the caller can
-                    // `join()` and retry. A `Welcome` at our own epoch is
-                    // a duplicate of a join reply — ignore it.
-                    if epoch_before(self.epoch, epoch) {
+                Some((from, Message::Welcome { epoch, .. })) => {
+                    // An unsolicited `Welcome` carrying a newer epoch is
+                    // the aggregator's zombie answer (`DegradedMode::
+                    // Rejoin`): we were evicted. Fail fast so the caller
+                    // can `join()` and retry. One at our own epoch
+                    // duplicates a join reply.
+                    let shard = from.index().saturating_sub(self.cfg.num_workers)
+                        % self.cfg.num_aggregators;
+                    if self.machine.evicted_by(shard, epoch) {
                         return Err(ProtocolError::Evicted {
                             worker: self.wid as usize,
                             epoch,
@@ -592,146 +328,9 @@ impl<T: Transport> RecoveryWorker<T> {
                 }
                 Some(_) => {} // ignore anything else
                 None => {
-                    // Timer expiry: retransmit outstanding packets,
-                    // within the retry budget.
                     let now = Instant::now();
                     while let Some(g) = timers.pop_expired(now) {
-                        self.stats.timer_fires += 1;
-                        self.counters.timer_fires.inc();
-                        let shard = self.cfg.shard_of_stream(g);
-                        let Some(state) = streams[g].as_mut() else {
-                            continue;
-                        };
-                        let Some(o) = state.outstanding.as_mut() else {
-                            continue;
-                        };
-                        if o.retx >= self.cfg.max_retransmits {
-                            if self.cfg.hot_standby && !self.failed_over[shard] {
-                                // Retry budget exhausted but the shard
-                                // has a hot standby: re-target it,
-                                // reset every outstanding packet's
-                                // budget on this shard, and resend them
-                                // all to the standby (DESIGN §12). The
-                                // standby answers from its replicated
-                                // state: completed phases with the
-                                // retained result, in-flight phases by
-                                // re-aggregating the retransmissions.
-                                let old = self.agg[shard];
-                                self.agg[shard] = self.cfg.standby_node(shard);
-                                self.failed_over[shard] = true;
-                                self.failover_at[shard] = Some(Instant::now());
-                                self.stats.failovers += 1;
-                                self.counters.failovers.inc();
-                                self.flight.record(
-                                    FlightEventKind::FailoverBegin,
-                                    round,
-                                    NO_BLOCK,
-                                    shard as u16,
-                                    old,
-                                    0,
-                                );
-                                for (g2, slot2) in streams.iter_mut().enumerate() {
-                                    if self.cfg.shard_of_stream(g2) != shard {
-                                        continue;
-                                    }
-                                    let Some(st2) = slot2.as_mut() else {
-                                        continue;
-                                    };
-                                    let Some(o2) = st2.outstanding.as_mut() else {
-                                        continue;
-                                    };
-                                    o2.retx = 0;
-                                    o2.retransmitted = true;
-                                    let wire_bytes = codec::encoded_len(&o2.msg) as u64;
-                                    self.stats.retransmissions += 1;
-                                    self.stats.bytes_sent += wire_bytes;
-                                    self.counters.retransmissions.inc();
-                                    self.counters.bytes_sent.add(wire_bytes);
-                                    self.shard_bytes[shard] += wire_bytes;
-                                    let block = first_block(&o2.msg);
-                                    self.flight.record(
-                                        FlightEventKind::Retransmit,
-                                        round,
-                                        block,
-                                        shard as u16,
-                                        self.wid,
-                                        wire_bytes,
-                                    );
-                                    self.flight.record(
-                                        FlightEventKind::PacketTx,
-                                        round,
-                                        block,
-                                        shard as u16,
-                                        self.wid,
-                                        wire_bytes,
-                                    );
-                                    self.transport.send(NodeId(self.agg[shard]), &o2.msg)?;
-                                    let rto = if self.cfg.adaptive_rto {
-                                        self.rtt[shard].next_rto()
-                                    } else {
-                                        self.cfg.retransmit_timeout
-                                    };
-                                    self.counters.rto.record(rto.as_micros() as u64);
-                                    timers.arm(g2, now, rto);
-                                }
-                                continue;
-                            }
-                            // Retry budget exhausted: the shard's
-                            // aggregator (and standby, if any) is
-                            // unresponsive. Fail fast instead of
-                            // retransmitting forever.
-                            self.counters.peer_unresponsive.inc();
-                            return Err(ProtocolError::PeerUnresponsive {
-                                peer: self.agg[shard],
-                                stream: g,
-                                retransmits: o.retx,
-                                elapsed: o.sent_at.elapsed(),
-                            });
-                        }
-                        if self.cfg.adaptive_rto {
-                            self.rtt[shard].on_timeout();
-                            self.stats.backoffs += 1;
-                            self.counters.backoffs.inc();
-                        }
-                        o.retx += 1;
-                        o.retransmitted = true;
-                        let wire_bytes = codec::encoded_len(&o.msg) as u64;
-                        self.stats.retransmissions += 1;
-                        self.stats.bytes_sent += wire_bytes;
-                        self.counters.retransmissions.inc();
-                        self.counters.bytes_sent.add(wire_bytes);
-                        self.shard_bytes[shard] += wire_bytes;
-                        let block = first_block(&o.msg);
-                        // aux = time burnt waiting on this packet so
-                        // far — the recovery-overhead component.
-                        self.flight.record(
-                            FlightEventKind::RtoFire,
-                            round,
-                            block,
-                            shard as u16,
-                            self.wid,
-                            o.sent_at.elapsed().as_nanos() as u64,
-                        );
-                        self.flight.record(
-                            FlightEventKind::Retransmit,
-                            round,
-                            block,
-                            shard as u16,
-                            self.wid,
-                            wire_bytes,
-                        );
-                        self.flight.record(
-                            FlightEventKind::PacketTx,
-                            round,
-                            block,
-                            shard as u16,
-                            self.wid,
-                            wire_bytes,
-                        );
-                        self.transport
-                            .send(NodeId(self.cfg.aggregator_node(shard)), &o.msg)?;
-                        let rto = self.next_rto(shard);
-                        timers.arm(g, now, rto);
+                        self.on_expiry(g, &mut timers)?;
                     }
                 }
             }
@@ -742,42 +341,188 @@ impl<T: Transport> RecoveryWorker<T> {
         Ok(())
     }
 
-    fn make_packet(&self, stream: usize, entries: Vec<Entry>) -> Message {
-        Message::Block(Packet {
-            kind: PacketKind::Data,
-            ver: self.ver[stream],
-            slot: stream as u16,
-            stream: self.cfg.stream_id,
-            wid: self.wid,
-            epoch: self.epoch,
-            entries,
-        })
+    /// Handles a result: writes its blocks into `tensor` and answers
+    /// every active column with data or an ack.
+    fn on_result(
+        &mut self,
+        p: &Packet,
+        tensor: &mut Tensor,
+        timers: &mut TimerQueue<usize>,
+    ) -> Result<(), TransportError> {
+        let g = p.slot as usize;
+        let shard = self.machine.shard_of(g);
+        let head = self.machine.on_result(g, p.ver, p.epoch, self.now_ns());
+        if head.adopted_epoch {
+            self.record(
+                FlightEventKind::EpochChange,
+                NO_BLOCK,
+                shard,
+                p.epoch.into(),
+            );
+        }
+        let entries = p.entries.len() as u64;
+        self.record(FlightEventKind::ResultRx, NO_BLOCK, shard, entries);
+        if !head.fresh {
+            self.stats.stale_results_ignored += 1;
+            self.counters.stale_results_ignored.inc();
+            return Ok(());
+        }
+        timers.cancel(&g);
+        if let Some(downtime) = head.failover_ns {
+            // The standby answered: the shard has recovered.
+            self.record(FlightEventKind::FailoverEnd, NO_BLOCK, shard, downtime);
+        }
+        // The answered packet's buffers return before the reply is built.
+        if let Some(old) = self.packets[g].take() {
+            self.pool.recycle_message(old);
+        }
+        let layout = *self.machine.layout();
+        let width = layout.width();
+        let mut reply = self.pool.checkout_entries();
+        for entry in &p.entries {
+            let (col, requested) = decode_next(entry.next, width);
+            if !entry.data.is_empty() {
+                tensor.copy_slice_at(layout.block_range(entry.block).start, &entry.data);
+            }
+            match self.machine.answer(g, col, requested) {
+                Some(Answer::Data(o)) => {
+                    let mut data = self.pool.checkout_f32();
+                    data.extend_from_slice(&tensor[layout.block_range(o.block)]);
+                    reply.push(Entry::data(o.block, encode_next(o.next, col, width), data));
+                }
+                Some(Answer::Ack(o)) => {
+                    reply.push(Entry::ack(o.block, encode_next(o.next, col, width)));
+                }
+                None => {}
+            }
+        }
+        if reply.is_empty() {
+            // Every column got ∞: the stream is finished.
+            self.pool.checkin_entries(reply);
+            return Ok(());
+        }
+        self.send_new(g, reply, timers)
     }
 
-    fn send_tracked(&mut self, stream: usize, msg: &Message) -> Result<(), TransportError> {
-        if let Message::Block(p) = msg {
-            let blocks = p.entries.iter().filter(|e| !e.is_ack()).count() as u64;
-            self.stats.blocks_sent += blocks;
-            self.counters.blocks_sent.add(blocks);
+    /// Handles stream `g`'s expired timer: retransmit, fail over, or
+    /// give up.
+    fn on_expiry(&mut self, g: usize, timers: &mut TimerQueue<usize>) -> Result<(), ProtocolError> {
+        self.stats.timer_fires += 1;
+        self.counters.timer_fires.inc();
+        let shard = self.machine.shard_of(g);
+        match self.machine.on_timer(g, self.now_ns()) {
+            Expiry::Idle => {}
+            Expiry::Retransmit {
+                rto,
+                backoff,
+                waited_ns,
+            } => {
+                if backoff {
+                    self.stats.backoffs += 1;
+                    self.counters.backoffs.inc();
+                }
+                self.resend(g, Resend::Timer { waited_ns }, rto, timers)?;
+            }
+            Expiry::FailOver { resend } => {
+                self.note_failover(shard);
+                for (g2, rto) in resend {
+                    self.resend(g2, Resend::Failover, rto, timers)?;
+                }
+            }
+            Expiry::GiveUp {
+                retransmits,
+                waited_ns,
+            } => {
+                // The shard's aggregator (and standby, if any) is
+                // unresponsive: fail fast, don't retransmit forever.
+                self.counters.peer_unresponsive.inc();
+                return Err(ProtocolError::PeerUnresponsive {
+                    peer: self.target(shard),
+                    stream: g,
+                    retransmits,
+                    elapsed: Duration::from_nanos(waited_ns),
+                });
+            }
         }
-        let wire_bytes = codec::encoded_len(msg) as u64;
+        Ok(())
+    }
+
+    /// Counts and records `shard`'s failover to its standby.
+    fn note_failover(&mut self, shard: usize) {
+        self.stats.failovers += 1;
+        self.counters.failovers.inc();
+        let (round, primary) = (self.rounds as u32, self.cfg.aggregator_node(shard));
+        let kind = FlightEventKind::FailoverBegin;
+        self.flight
+            .record(kind, round, NO_BLOCK, shard as u16, primary, 0);
+    }
+
+    /// Builds stream `g`'s next data packet from `entries`, sends it and
+    /// arms its timer.
+    fn send_new(
+        &mut self,
+        g: usize,
+        entries: Vec<Entry>,
+        timers: &mut TimerQueue<usize>,
+    ) -> Result<(), TransportError> {
+        let blocks = entries.iter().filter(|e| !e.is_ack()).count() as u64;
+        let msg = Message::Block(Packet {
+            kind: PacketKind::Data,
+            ver: self.machine.ver(g),
+            slot: g as u16,
+            stream: self.cfg.stream_id,
+            wid: self.wid,
+            epoch: self.machine.epoch(),
+            entries,
+        });
+        let wire_bytes = codec::encoded_len(&msg) as u64;
+        let shard = self.machine.shard_of(g);
+        self.stats.blocks_sent += blocks;
         self.stats.packets_sent += 1;
         self.stats.bytes_sent += wire_bytes;
+        self.counters.blocks_sent.add(blocks);
         self.counters.packets_sent.inc();
         self.counters.bytes_sent.add(wire_bytes);
-        let shard = self.cfg.shard_of_stream(stream);
         self.shard_bytes[shard] += wire_bytes;
         // One flight event per fused message, keyed by the first
         // entry's block (the aggregator mirrors the key on PacketRx).
-        self.flight.record(
-            FlightEventKind::PacketTx,
-            self.rounds as u32,
-            first_block(msg),
-            shard as u16,
-            self.wid,
-            wire_bytes,
-        );
-        self.transport.send(NodeId(self.agg[shard]), msg)
+        let block = first_block(&msg);
+        self.record(FlightEventKind::PacketTx, block, shard, wire_bytes);
+        self.transport.send(NodeId(self.target(shard)), &msg)?;
+        let rto = self.machine.sent(g, self.now_ns());
+        self.arm(timers, g, rto);
+        self.packets[g] = Some(msg);
+        Ok(())
+    }
+
+    /// Sends stream `g`'s outstanding packet again — to the shard's
+    /// current target — and re-arms its timer with `rto`.
+    fn resend(
+        &mut self,
+        g: usize,
+        why: Resend,
+        rto: Duration,
+        timers: &mut TimerQueue<usize>,
+    ) -> Result<(), TransportError> {
+        let shard = self.machine.shard_of(g);
+        let msg = self.packets[g].as_ref().expect("outstanding packet");
+        let wire_bytes = codec::encoded_len(msg) as u64;
+        let block = first_block(msg);
+        self.stats.retransmissions += 1;
+        self.stats.bytes_sent += wire_bytes;
+        self.counters.retransmissions.inc();
+        self.counters.bytes_sent.add(wire_bytes);
+        self.shard_bytes[shard] += wire_bytes;
+        if let Resend::Nack = why {
+            self.stats.solicited_retransmissions += 1;
+            self.counters.solicited_retransmissions.inc();
+        }
+        for (kind, aux) in why.events(wire_bytes) {
+            self.record(kind, block, shard, aux);
+        }
+        self.transport.send(NodeId(self.target(shard)), msg)?;
+        self.arm(timers, g, rto);
+        Ok(())
     }
 
     /// Negotiates (re)admission with every shard: sends `Join` and
@@ -812,42 +557,28 @@ impl<T: Transport> RecoveryWorker<T> {
         let msg = Message::Join { wid: self.wid };
         let mut retx: u32 = 0;
         loop {
-            self.transport.send(NodeId(self.agg[shard]), &msg)?;
-            let rto = self.next_rto(shard);
+            self.transport.send(NodeId(self.target(shard)), &msg)?;
+            let rto = self.machine.rto(shard);
+            self.counters.note_rto(rto, self.machine.srtt(shard));
             let deadline = Instant::now() + rto;
-            loop {
-                let now = Instant::now();
-                let Some(left) = deadline
-                    .checked_duration_since(now)
-                    .filter(|d| !d.is_zero())
-                else {
-                    break;
-                };
+            while let Some(left) = deadline
+                .checked_duration_since(Instant::now())
+                .filter(|d| !d.is_zero())
+            {
                 match self.transport.recv_timeout(left)? {
                     Some((_, Message::Welcome { epoch, vers })) => {
-                        if epoch_before(self.epoch, epoch) {
-                            self.epoch = epoch;
-                            self.flight.record(
+                        let Some(adopted) = self.machine.install_welcome(shard, epoch, &vers)
+                        else {
+                            // A zombie answer from before our admission.
+                            continue;
+                        };
+                        if adopted {
+                            self.record(
                                 FlightEventKind::EpochChange,
-                                self.rounds as u32,
                                 NO_BLOCK,
-                                shard as u16,
-                                self.wid,
+                                shard,
                                 epoch as u64,
                             );
-                        }
-                        // Install the shard's phase cursors so our next
-                        // data packet lands in the phase the group will
-                        // actually run next.
-                        let mut k = 0usize;
-                        for g in 0..self.layout.total_streams() {
-                            if self.cfg.shard_of_stream(g) != shard {
-                                continue;
-                            }
-                            if let Some(&v) = vers.get(k) {
-                                self.ver[g] = v & 1;
-                            }
-                            k += 1;
                         }
                         return Ok(());
                     }
@@ -858,33 +589,21 @@ impl<T: Transport> RecoveryWorker<T> {
                 }
             }
             retx += 1;
-            if retx > self.cfg.max_retransmits {
-                if self.cfg.hot_standby && !self.failed_over[shard] {
-                    let old = self.agg[shard];
-                    self.agg[shard] = self.cfg.standby_node(shard);
-                    self.failed_over[shard] = true;
-                    self.failover_at[shard] = Some(Instant::now());
-                    self.stats.failovers += 1;
-                    self.counters.failovers.inc();
-                    self.flight.record(
-                        FlightEventKind::FailoverBegin,
-                        self.rounds as u32,
-                        NO_BLOCK,
-                        shard as u16,
-                        old,
-                        0,
-                    );
-                    retx = 0;
-                    continue;
-                }
-                self.counters.peer_unresponsive.inc();
-                return Err(ProtocolError::PeerUnresponsive {
-                    peer: self.agg[shard],
-                    stream: shard,
-                    retransmits: retx - 1,
-                    elapsed: rto,
-                });
+            if retx <= self.cfg.max_retransmits {
+                continue;
             }
+            if self.machine.fail_over(shard, self.now_ns()) {
+                self.note_failover(shard);
+                retx = 0;
+                continue;
+            }
+            self.counters.peer_unresponsive.inc();
+            return Err(ProtocolError::PeerUnresponsive {
+                peer: self.target(shard),
+                stream: shard,
+                retransmits: retx - 1,
+                elapsed: rto,
+            });
         }
     }
 
@@ -899,8 +618,8 @@ impl<T: Transport> RecoveryWorker<T> {
     pub fn shutdown(self) -> Result<(), TransportError> {
         let mut first_err = None;
         for a in 0..self.cfg.num_aggregators {
-            let mut targets = vec![self.agg[a]];
-            if self.cfg.hot_standby && !self.failed_over[a] {
+            let mut targets = vec![self.target(a)];
+            if self.cfg.hot_standby && !self.machine.on_standby(a) {
                 targets.push(self.cfg.standby_node(a));
             }
             for t in targets {
@@ -919,52 +638,6 @@ impl<T: Transport> RecoveryWorker<T> {
     }
 }
 
-/// Per-column, per-version aggregation state.
-#[derive(Clone)]
-struct ColPhase {
-    /// Block accumulator (arrival-order, or deterministic §7 worker-id
-    /// order). Buffers are allocated once and reused in place across
-    /// phases — DESIGN §9.
-    acc: ColAccumulator,
-    block: Option<BlockIdx>,
-    min_next: i64,
-}
-
-impl ColPhase {
-    fn new(num_workers: usize, deterministic: bool) -> Self {
-        ColPhase {
-            acc: ColAccumulator::new(num_workers, deterministic),
-            block: None,
-            min_next: i64::MAX,
-        }
-    }
-
-    /// Rearms the column for a new phase, keeping every buffer.
-    fn reset(&mut self) {
-        self.acc.reset();
-        self.block = None;
-        self.min_next = i64::MAX;
-    }
-}
-
-/// Per-stream versioned slot (Algorithm 2 lines 26–29).
-struct VersionedSlot {
-    /// Per-version, per-column phase state.
-    cols: [Vec<ColPhase>; 2],
-    /// seen[v][wid]: worker's packet for version v already aggregated.
-    seen: [Vec<bool>; 2],
-    /// Distinct workers aggregated in version v's current phase.
-    count: [usize; 2],
-    /// Completed result packet per version, kept for retransmission.
-    result: [Option<Message>; 2],
-    /// When version v's current phase opened (its first accepted
-    /// contribution). Later contributions' lateness relative to this
-    /// feeds the per-worker `contrib_delay_ns` histograms the straggler
-    /// detector watches. Only maintained when those histograms are
-    /// registered.
-    first_arrival: [Option<Instant>; 2],
-}
-
 /// Loss-path counters of the recovery aggregator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryAggregatorStats {
@@ -979,7 +652,7 @@ pub struct RecoveryAggregatorStats {
     /// Workers evicted for unresponsiveness.
     pub evictions: u64,
     /// Phases completed without one or more evicted workers'
-    /// contributions ([`DegradedMode::DropWorker`]).
+    /// contributions ([`crate::config::DegradedMode::DropWorker`]).
     pub degraded_completions: u64,
     /// Data packets from already-evicted workers, dropped on arrival.
     pub evicted_packets_dropped: u64,
@@ -1000,106 +673,64 @@ pub struct RecoveryAggregatorStats {
     pub checkpoints_applied: u64,
 }
 
-/// Fleet-wide `core.recovery.agg.*` registry mirrors of
-/// [`RecoveryAggregatorStats`].
-struct RecoveryAggCounters {
-    results_sent: Counter,
-    result_retransmissions: Counter,
-    duplicates_ignored: Counter,
-    evictions: Counter,
-    degraded_completions: Counter,
-    nacks_sent: Counter,
+/// Registry mirrors of [`RecoveryAggregatorStats`] under `<prefix>.agg`.
+#[derive(Clone)]
+pub(crate) struct RecoveryAggCounters {
+    pub(crate) results_sent: Counter,
+    pub(crate) result_retransmissions: Counter,
+    pub(crate) duplicates_ignored: Counter,
+    pub(crate) evictions: Counter,
+    pub(crate) degraded_completions: Counter,
+    pub(crate) nacks_sent: Counter,
     stale_epoch_dropped: Counter,
     joins_admitted: Counter,
     checkpoints_sent: Counter,
     checkpoints_applied: Counter,
-    /// `core.recovery.agg.worker.<w>.contrib_delay_ns`: per worker, how
-    /// long after a phase opened this worker's contribution arrived
-    /// (0 for the phase opener). The time-series sampler derives the
-    /// windowed p99 the straggler-drift detector compares across peers.
-    /// Empty when detached — lateness then costs no clock reads.
-    contrib_delay: Vec<Histogram>,
+    /// `.agg.worker.<w>.contrib_delay_ns`: per worker, how long after a
+    /// phase opened this worker's contribution arrived (0 for the phase
+    /// opener). The time-series sampler derives the windowed p99 the
+    /// straggler-drift detector compares across peers. Empty when
+    /// detached.
+    pub(crate) contrib_delay: Vec<Histogram>,
 }
 
 impl RecoveryAggCounters {
-    fn detached() -> Self {
+    pub(crate) fn new(telemetry: Option<&Telemetry>, prefix: &str, num_workers: usize) -> Self {
+        let c = |n: &str| {
+            telemetry.map_or_else(Counter::detached, |t| {
+                t.counter(&format!("{prefix}.agg.{n}"))
+            })
+        };
         RecoveryAggCounters {
-            results_sent: Counter::detached(),
-            result_retransmissions: Counter::detached(),
-            duplicates_ignored: Counter::detached(),
-            evictions: Counter::detached(),
-            degraded_completions: Counter::detached(),
-            nacks_sent: Counter::detached(),
-            stale_epoch_dropped: Counter::detached(),
-            joins_admitted: Counter::detached(),
-            checkpoints_sent: Counter::detached(),
-            checkpoints_applied: Counter::detached(),
-            contrib_delay: Vec::new(),
-        }
-    }
-
-    fn registered(telemetry: &Telemetry, num_workers: usize) -> Self {
-        RecoveryAggCounters {
-            results_sent: telemetry.counter("core.recovery.agg.results_sent"),
-            result_retransmissions: telemetry.counter("core.recovery.agg.result_retransmissions"),
-            duplicates_ignored: telemetry.counter("core.recovery.agg.duplicates_ignored"),
-            evictions: telemetry.counter("core.recovery.agg.evictions"),
-            degraded_completions: telemetry.counter("core.recovery.agg.degraded_completions"),
-            nacks_sent: telemetry.counter("core.recovery.agg.nacks_sent"),
-            stale_epoch_dropped: telemetry.counter("core.recovery.agg.stale_epoch_dropped"),
-            joins_admitted: telemetry.counter("core.recovery.agg.joins_admitted"),
-            checkpoints_sent: telemetry.counter("core.recovery.agg.checkpoints_sent"),
-            checkpoints_applied: telemetry.counter("core.recovery.agg.checkpoints_applied"),
-            contrib_delay: (0..num_workers)
-                .map(|w| {
-                    telemetry.histogram(&format!("core.recovery.agg.worker.{w}.contrib_delay_ns"))
-                })
-                .collect(),
+            results_sent: c("results_sent"),
+            result_retransmissions: c("result_retransmissions"),
+            duplicates_ignored: c("duplicates_ignored"),
+            evictions: c("evictions"),
+            degraded_completions: c("degraded_completions"),
+            nacks_sent: c("nacks_sent"),
+            stale_epoch_dropped: c("stale_epoch_dropped"),
+            joins_admitted: c("joins_admitted"),
+            checkpoints_sent: c("checkpoints_sent"),
+            checkpoints_applied: c("checkpoints_applied"),
+            contrib_delay: telemetry.map_or_else(Vec::new, |t| {
+                let h = |w| t.histogram(&format!("{prefix}.agg.worker.{w}.contrib_delay_ns"));
+                (0..num_workers).map(h).collect()
+            }),
         }
     }
 }
 
-/// Aggregator engine with Algorithm 2 loss recovery.
+/// Aggregator engine with Algorithm 2 loss recovery: the thread driver
+/// of [`RecAggMachine`] over f32 [`ColAccumulator`]s. It owns the
+/// transport, the result packets (pooled, retained by the machine), the
+/// eviction tick and the counters; the machine decides everything else.
 pub struct RecoveryAggregator<T: Transport> {
     transport: T,
     cfg: OmniConfig,
-    layout: StreamLayout,
     shard: usize,
-    /// True for a hot-standby replica (node `W + A + shard`): it applies
-    /// checkpoint deltas instead of producing them and stays passive —
-    /// no eviction sweeps — until the first data packet arrives, which
-    /// means the workers have failed over to it.
-    standby: bool,
-    /// Primaries are active from the start; a standby activates on its
-    /// first data packet.
-    active: bool,
-    /// Current membership epoch; bumped on every eviction and admission.
-    epoch: u8,
-    /// Per-worker admission epoch: the epoch at which the worker (last)
-    /// became a member. Data packets stamped with an older epoch are a
-    /// rejoined worker's pre-eviction stragglers and are dropped.
-    member_epoch: Vec<u8>,
-    /// Per-stream phase cursor: the version the *next* fresh phase of
-    /// the stream will run (handed to joiners in `Welcome`).
-    next_ver: Vec<u8>,
-    /// Join requests deferred to the next full-idle round boundary.
-    pending_joins: Vec<u16>,
-    /// Whether any phase is currently in flight. The idle→busy edge
-    /// (first accepted packet of a round) refreshes every worker's
-    /// liveness clock: eviction measures silence *while the group is
-    /// waiting*, so idle time between rounds must not count against a
-    /// worker that simply had nothing to send yet.
-    busy: bool,
-    slots: Vec<Option<VersionedSlot>>,
-    /// Workers that sent `Shutdown` (finished; excluded from multicasts).
-    departed: Vec<bool>,
-    goodbyes: usize,
-    /// Workers evicted for unresponsiveness (packets dropped, excluded
-    /// from multicasts and from phase-completion counts).
-    evicted: Vec<bool>,
-    evicted_count: usize,
-    /// Last time each worker was heard from (data or shutdown).
-    last_heard: Vec<Instant>,
+    machine: RecAggMachine<ColAccumulator, Message>,
+    /// Origin of the machine's `now_ns`.
+    clock: Instant,
     /// Loss-path counters.
     pub stats: RecoveryAggregatorStats,
     counters: RecoveryAggCounters,
@@ -1124,57 +755,21 @@ impl<T: Transport> RecoveryAggregator<T> {
             "node {node} is not an aggregator"
         );
         let rel = node - cfg.num_workers;
-        let standby = rel >= cfg.num_aggregators;
         let shard = rel % cfg.num_aggregators;
-        let layout = StreamLayout::new(
-            cfg.block_spec(),
-            cfg.fusion,
-            cfg.total_streams(),
-            cfg.tensor_len,
-        );
-        let n = cfg.num_workers;
-        let width = layout.width();
-        let slots = (0..layout.total_streams())
-            .map(|g| {
-                (cfg.shard_of_stream(g) == shard).then(|| VersionedSlot {
-                    cols: [
-                        vec![ColPhase::new(n, cfg.deterministic); width],
-                        vec![ColPhase::new(n, cfg.deterministic); width],
-                    ],
-                    seen: [vec![false; n], vec![false; n]],
-                    count: [0, 0],
-                    result: [None, None],
-                    first_arrival: [None, None],
-                })
-            })
-            .collect();
-        let departed = vec![false; cfg.num_workers];
-        let evicted = vec![false; cfg.num_workers];
-        let last_heard = vec![Instant::now(); cfg.num_workers];
-        let pool = BufferPool::for_block_size(cfg.block_size);
-        let num_streams = layout.total_streams();
+        let (n, deterministic) = (cfg.num_workers, cfg.deterministic);
+        let machine = RecAggMachine::new(&cfg, shard, rel >= cfg.num_aggregators, || {
+            ColAccumulator::new(n, deterministic)
+        });
         RecoveryAggregator {
             transport,
-            cfg,
-            layout,
             shard,
-            standby,
-            active: !standby,
-            epoch: 0,
-            member_epoch: vec![0; n],
-            next_ver: vec![0; num_streams],
-            pending_joins: Vec::new(),
-            busy: false,
-            slots,
-            departed,
-            goodbyes: 0,
-            evicted,
-            evicted_count: 0,
-            last_heard,
+            machine,
+            clock: Instant::now(),
             stats: RecoveryAggregatorStats::default(),
-            counters: RecoveryAggCounters::detached(),
+            counters: RecoveryAggCounters::new(None, "", 0),
             flight: FlightLane::disabled(),
-            pool,
+            pool: BufferPool::for_block_size(cfg.block_size),
+            cfg,
         }
     }
 
@@ -1184,8 +779,8 @@ impl<T: Transport> RecoveryAggregator<T> {
     /// registry's flight recorder is enabled.
     pub fn with_telemetry(transport: T, cfg: OmniConfig, telemetry: &Telemetry) -> Self {
         let mut a = Self::new(transport, cfg);
-        a.counters = RecoveryAggCounters::registered(telemetry, a.cfg.num_workers);
-        let lane_name = if a.standby {
+        a.counters = RecoveryAggCounters::new(Some(telemetry), "core.recovery", a.cfg.num_workers);
+        let lane_name = if a.machine.is_standby() {
             format!("standby{}", a.shard)
         } else {
             format!("agg{}", a.shard)
@@ -1198,13 +793,17 @@ impl<T: Transport> RecoveryAggregator<T> {
         a
     }
 
+    fn now_ns(&self) -> u64 {
+        self.clock.elapsed().as_nanos() as u64
+    }
+
     /// Serves until every worker says `Shutdown` or has been evicted.
     ///
     /// A worker the shard is still waiting on that stays silent for
     /// [`OmniConfig::worker_eviction_timeout`] is evicted: in
-    /// [`DegradedMode::DropWorker`] the collective completes without it
+    /// [`crate::config::DegradedMode::DropWorker`] the collective completes without it
     /// (the phase-completion count is renormalized to the survivors);
-    /// in [`DegradedMode::Abort`] this returns
+    /// in [`crate::config::DegradedMode::Abort`] this returns
     /// [`ProtocolError::WorkerEvicted`].
     pub fn run(&mut self) -> Result<(), ProtocolError> {
         // Poll granularity for the eviction sweep: fine enough to
@@ -1212,101 +811,53 @@ impl<T: Transport> RecoveryAggregator<T> {
         // path.
         let tick = (self.cfg.worker_eviction_timeout / 4)
             .clamp(Duration::from_millis(1), Duration::from_millis(100));
-        let now = Instant::now();
-        for t in self.last_heard.iter_mut() {
-            *t = now;
-        }
+        self.machine.start(self.now_ns());
         loop {
             if let Some((from, msg)) = self.transport.recv_timeout(tick)? {
                 match msg {
-                    Message::Block(p) if p.kind == PacketKind::Data => {
-                        // A standby's first data packet means the
-                        // workers have failed over to it: wake up and
-                        // start the eviction clocks fresh.
-                        if self.standby && !self.active {
-                            self.active = true;
-                            let now = Instant::now();
-                            for t in self.last_heard.iter_mut() {
-                                *t = now;
-                            }
-                        }
-                        let wid = p.wid as usize;
-                        if wid < self.last_heard.len() {
-                            self.last_heard[wid] = Instant::now();
-                        }
-                        self.handle_data(p)?;
+                    Message::Block(p) if p.kind == PacketKind::Data => self.handle_data(p)?,
+                    Message::Join { wid } => self.handle_join(wid as usize)?,
+                    Message::Checkpoint(delta) if self.machine.is_standby() => {
+                        self.apply_checkpoint(delta)
                     }
-                    Message::Join { wid } => self.handle_join(wid)?,
-                    Message::Checkpoint(delta) if self.standby => {
-                        self.apply_checkpoint(delta);
-                    }
-                    Message::Checkpoint(_) => {}
-                    Message::Shutdown => {
-                        // Finished worker: stop multicasting to it (its
-                        // endpoint may already be gone).
-                        let w = from.index();
-                        if w < self.departed.len() && !self.departed[w] && !self.evicted[w] {
-                            self.departed[w] = true;
-                            self.goodbyes += 1;
-                            self.last_heard[w] = Instant::now();
-                        }
-                    }
+                    // Finished worker: stop multicasting to it (its
+                    // endpoint may already be gone).
+                    Message::Shutdown => self.machine.on_shutdown(from.index(), self.now_ns()),
                     _ => {} // tolerate anything else on a lossy fabric
                 }
             }
-            if !self.pending_joins.is_empty() {
-                self.try_admissions()?;
-            }
+            self.admit_pending()?;
             self.sweep_evictions()?;
-            if self.goodbyes + self.evicted_count == self.cfg.num_workers {
+            if self.machine.finished() {
                 return Ok(());
             }
         }
     }
 
-    /// True when no phase of any owned slot is in flight — the
-    /// round-boundary condition under which membership may change.
-    fn fully_idle(&self) -> bool {
-        self.slots
-            .iter()
-            .flatten()
-            .all(|slot| slot.count[0] == 0 && slot.count[1] == 0)
+    /// Sends `msg` toward worker `w`, best effort.
+    fn send_to(&self, w: usize, msg: &Message) -> Result<(), TransportError> {
+        crate::wire::send_best_effort(&self.transport, NodeId(self.cfg.worker_node(w)), msg)
     }
 
-    /// The per-stream phase cursors handed to joiners: for each owned
-    /// stream in ascending order, the version its next fresh phase will
-    /// run.
-    fn ver_cursors(&self) -> Vec<u8> {
-        (0..self.layout.total_streams())
-            .filter(|&g| self.cfg.shard_of_stream(g) == self.shard)
-            .map(|g| self.next_ver[g])
-            .collect()
+    /// Sends worker `w` the current epoch and phase cursors.
+    fn send_welcome(&self, w: usize) -> Result<(), TransportError> {
+        let welcome = Message::Welcome {
+            epoch: self.machine.epoch(),
+            vers: self.machine.ver_cursors(),
+        };
+        self.send_to(w, &welcome)
     }
 
-    fn evicted_wids(&self) -> Vec<u16> {
-        (0..self.cfg.num_workers)
-            .filter(|&w| self.evicted[w])
-            .map(|w| w as u16)
-            .collect()
-    }
-
-    /// Replicates a checkpoint delta to this shard's hot standby
-    /// (no-op on standbys and on meshes without one).
+    /// Replicates a checkpoint delta to this shard's hot standby.
     fn replicate(&mut self, delta: CheckpointDelta) -> Result<(), TransportError> {
-        if !self.cfg.hot_standby || self.standby {
-            return Ok(());
-        }
         let msg = Message::Checkpoint(delta);
-        let bytes = codec::encoded_len(&msg) as u64;
         self.stats.checkpoints_sent += 1;
         self.counters.checkpoints_sent.inc();
-        self.flight.record(
+        self.record(
             FlightEventKind::CheckpointTx,
-            0,
             NO_BLOCK,
-            self.shard as u16,
             u16::MAX,
-            bytes,
+            codec::encoded_len(&msg) as u64,
         );
         crate::wire::send_best_effort(
             &self.transport,
@@ -1315,568 +866,248 @@ impl<T: Transport> RecoveryAggregator<T> {
         )
     }
 
-    /// Handles a worker's `Join`. A current member gets an immediate
-    /// idempotent `Welcome`; an evicted (or departed) worker is queued
-    /// and admitted at the next full-idle round boundary.
-    fn handle_join(&mut self, wid: u16) -> Result<(), TransportError> {
-        let w = wid as usize;
-        if w >= self.cfg.num_workers {
-            return Ok(());
-        }
-        self.last_heard[w] = Instant::now();
-        if !self.evicted[w] && !self.departed[w] && !self.pending_joins.contains(&wid) {
-            // Already a member: a startup join, or a retry racing its
-            // own admission. Answer with the current state.
-            let welcome = Message::Welcome {
-                epoch: self.epoch,
-                vers: self.ver_cursors(),
-            };
-            return crate::wire::send_best_effort(
-                &self.transport,
-                NodeId(self.cfg.worker_node(w)),
-                &welcome,
-            );
-        }
-        if !self.pending_joins.contains(&wid) {
-            self.pending_joins.push(wid);
-        }
-        self.try_admissions()
+    /// Records a flight event of this shard's lane.
+    fn record(&self, kind: FlightEventKind, block: u64, wid: u16, aux: u64) {
+        self.flight
+            .record(kind, 0, block, self.shard as u16, wid, aux);
     }
 
-    /// Admits every queued joiner if the shard is at a full-idle round
-    /// boundary (no phase of any slot in flight).
-    fn try_admissions(&mut self) -> Result<(), TransportError> {
-        if self.pending_joins.is_empty() || !self.fully_idle() {
-            return Ok(());
+    /// Records an epoch bump caused by `wid` (`u16::MAX`: the primary).
+    fn note_epoch(&self, wid: u16) {
+        let epoch = self.machine.epoch() as u64;
+        self.record(FlightEventKind::EpochChange, NO_BLOCK, wid, epoch);
+    }
+
+    /// Handles a worker's `Join`: a member gets an immediate idempotent
+    /// `Welcome`; an evicted (or departed) worker is admitted at the next
+    /// full-idle round boundary.
+    fn handle_join(&mut self, w: usize) -> Result<(), TransportError> {
+        match self.machine.on_join(w, self.now_ns()) {
+            JoinVerdict::Ignore => Ok(()),
+            JoinVerdict::Welcome => self.send_welcome(w),
+            JoinVerdict::Queued => self.admit_pending(),
         }
-        let joins = std::mem::take(&mut self.pending_joins);
-        for wid in joins {
-            self.admit(wid)?;
+    }
+
+    /// Admits every queued joiner the machine lets in: replicates the
+    /// membership change and sends the `Welcome` the joiner resumes from.
+    fn admit_pending(&mut self) -> Result<(), TransportError> {
+        while let Some(w) = self.machine.admit_next(self.now_ns()) {
+            self.stats.joins_admitted += 1;
+            self.counters.joins_admitted.inc();
+            self.note_epoch(w as u16);
+            if let Some(delta) = self.machine.membership_delta(vec![w as u16]) {
+                self.replicate(delta)?;
+            }
+            self.send_welcome(w)?;
         }
         Ok(())
     }
 
-    /// Admits one worker: clears its stale protocol state, bumps the
-    /// membership epoch, replicates the membership change, and sends
-    /// the `Welcome` that tells the worker which epoch and phase
-    /// cursors to resume from.
-    fn admit(&mut self, wid: u16) -> Result<(), TransportError> {
-        let w = wid as usize;
-        if self.evicted[w] {
-            self.evicted[w] = false;
-            self.evicted_count -= 1;
-        }
-        if self.departed[w] {
-            self.departed[w] = false;
-            self.goodbyes -= 1;
-        }
-        // Forget anything the previous incarnation contributed: the
-        // joiner starts from the handed-out cursors with clean seen
-        // bits (counts are all zero at an idle boundary).
-        for slot in self.slots.iter_mut().flatten() {
-            slot.seen[0][w] = false;
-            slot.seen[1][w] = false;
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        self.member_epoch[w] = self.epoch;
-        self.last_heard[w] = Instant::now();
-        self.stats.joins_admitted += 1;
-        self.counters.joins_admitted.inc();
-        self.flight.record(
-            FlightEventKind::EpochChange,
-            0,
-            NO_BLOCK,
-            self.shard as u16,
-            wid,
-            self.epoch as u64,
-        );
-        self.replicate(CheckpointDelta {
-            epoch: self.epoch,
-            slot: MEMBERSHIP_ONLY,
-            ver: 0,
-            members: vec![wid],
-            evicted: self.evicted_wids(),
-            entries: Vec::new(),
-        })?;
-        let welcome = Message::Welcome {
-            epoch: self.epoch,
-            vers: self.ver_cursors(),
-        };
-        crate::wire::send_best_effort(&self.transport, NodeId(self.cfg.worker_node(w)), &welcome)
-    }
-
-    /// Applies a checkpoint delta from the primary (standbys only):
-    /// either a membership change, or a completed phase's full slot
-    /// outcome — result packet, contributor seen bits, and the stream's
-    /// next-phase cursor (DESIGN §12).
+    /// Applies a checkpoint delta from the primary (standbys only): a
+    /// membership change, or a completed phase's result retained for
+    /// failed-over workers that missed it (DESIGN §12).
     fn apply_checkpoint(&mut self, delta: CheckpointDelta) {
-        let n = self.cfg.num_workers;
         let msg = Message::Checkpoint(delta);
-        let bytes = codec::encoded_len(&msg) as u64;
+        self.stats.checkpoints_applied += 1;
+        self.counters.checkpoints_applied.inc();
+        self.record(
+            FlightEventKind::CheckpointRx,
+            NO_BLOCK,
+            u16::MAX,
+            codec::encoded_len(&msg) as u64,
+        );
         let Message::Checkpoint(delta) = msg else {
             unreachable!()
         };
-        self.stats.checkpoints_applied += 1;
-        self.counters.checkpoints_applied.inc();
-        self.flight.record(
-            FlightEventKind::CheckpointRx,
-            0,
-            NO_BLOCK,
-            self.shard as u16,
-            u16::MAX,
-            bytes,
-        );
-        if epoch_before(self.epoch, delta.epoch) {
-            self.epoch = delta.epoch;
-            self.flight.record(
-                FlightEventKind::EpochChange,
-                0,
-                NO_BLOCK,
-                self.shard as u16,
-                u16::MAX,
-                delta.epoch as u64,
-            );
+        let epoch = self.machine.epoch();
+        let phase = self.machine.apply_checkpoint(&delta, self.now_ns());
+        if self.machine.epoch() != epoch {
+            self.note_epoch(u16::MAX);
         }
-        // The eviction set is replicated wholesale with every delta.
-        for w in 0..n {
-            let is = delta.evicted.contains(&(w as u16));
-            if self.evicted[w] != is {
-                self.evicted[w] = is;
-                if is {
-                    self.evicted_count += 1;
-                } else {
-                    self.evicted_count -= 1;
-                }
-            }
-        }
-        if delta.slot == MEMBERSHIP_ONLY {
-            let now = Instant::now();
-            for &wid in &delta.members {
-                let w = wid as usize;
-                if w >= n {
-                    continue;
-                }
-                self.member_epoch[w] = delta.epoch;
-                if self.departed[w] {
-                    self.departed[w] = false;
-                    self.goodbyes -= 1;
-                }
-                self.last_heard[w] = now;
-                for slot in self.slots.iter_mut().flatten() {
-                    slot.seen[0][w] = false;
-                    slot.seen[1][w] = false;
-                }
-            }
-            return;
-        }
-        // Completed-phase delta: install the retained result and the
-        // contributors' seen bits exactly as the primary left them, so
-        // a failed-over worker that missed the multicast gets the
-        // *same* bytes retransmitted, and one that didn't miss it is
-        // deduplicated. In-flight phases are deliberately not
-        // replicated: every surviving worker retransmits its
-        // outstanding packet on failover, and the phase re-aggregates
-        // from scratch — bit-identical under §7 worker-id-order
-        // reduction.
-        let g = delta.slot as usize;
-        let v = (delta.ver & 1) as usize;
-        let epoch = self.epoch;
-        if g >= self.slots.len() {
-            return;
-        }
-        let Some(slot) = self.slots[g].as_mut() else {
+        let Some((g, v)) = phase else {
             return;
         };
-        slot.count[v] = 0;
-        for b in slot.seen[v].iter_mut() {
-            *b = false;
-        }
-        for &wid in &delta.members {
-            let c = wid as usize;
-            if c < n {
-                slot.seen[v][c] = true;
-                slot.seen[v ^ 1][c] = false;
-            }
-        }
-        let old = slot.result[v].take();
-        slot.result[v] = Some(Message::Block(Packet {
+        // The same bytes the primary multicast, so a failed-over worker
+        // that missed them gets them retransmitted.
+        let result = Message::Block(Packet {
             kind: PacketKind::Result,
             ver: v as u8,
-            slot: delta.slot,
+            slot: g as u16,
             stream: self.cfg.stream_id,
             wid: u16::MAX,
-            epoch,
+            epoch: self.machine.epoch(),
             entries: delta.entries,
-        }));
-        self.next_ver[g] = (v ^ 1) as u8;
-        if let Some(old) = old {
+        });
+        if let Some(old) = self.machine.retain(g, v, result) {
             self.pool.recycle_message(old);
         }
     }
 
-    /// True if version `v` of slot `g` has an aggregation phase in
-    /// flight that worker `w` has not yet contributed to.
-    fn waiting_on(&self, w: usize) -> bool {
-        self.slots
-            .iter()
-            .flatten()
-            .any(|slot| (0..2).any(|v| slot.count[v] > 0 && !slot.seen[v][w]))
-    }
-
     /// Evicts workers the shard is waiting on that have been silent for
-    /// longer than the eviction timeout.
+    /// longer than the eviction timeout, completing the phases that no
+    /// longer need them.
     fn sweep_evictions(&mut self) -> Result<(), ProtocolError> {
-        // A passive standby must not evict anyone: its workers are
-        // (rightly) talking to the primary, so everyone looks silent.
-        if !self.active {
-            return Ok(());
-        }
-        let now = Instant::now();
-        for w in 0..self.cfg.num_workers {
-            if self.departed[w] || self.evicted[w] {
-                continue;
-            }
-            let idle = now.duration_since(self.last_heard[w]);
-            if idle <= self.cfg.worker_eviction_timeout || !self.waiting_on(w) {
-                continue;
-            }
+        while let Some(ev) = self.machine.sweep(self.now_ns()) {
+            let idle = Duration::from_nanos(ev.idle_ns);
             self.stats.evictions += 1;
             self.counters.evictions.inc();
-            self.flight.record(
+            self.record(
                 FlightEventKind::Eviction,
-                0,
                 NO_BLOCK,
-                self.shard as u16,
-                w as u16,
-                idle.as_nanos() as u64,
+                ev.worker as u16,
+                ev.idle_ns,
             );
-            if self.cfg.degraded_mode == DegradedMode::Abort {
-                return Err(ProtocolError::WorkerEvicted { worker: w, idle });
+            if ev.abort {
+                return Err(ProtocolError::WorkerEvicted {
+                    worker: ev.worker,
+                    idle,
+                });
             }
-            self.evicted[w] = true;
-            self.evicted_count += 1;
-            // Eviction is a membership change: bump the epoch so a
-            // later incarnation of `w` (rejoined at a newer epoch) can
-            // be told apart from this one's in-flight stragglers, and
-            // replicate the new membership to the standby.
-            self.epoch = self.epoch.wrapping_add(1);
-            self.flight.record(
-                FlightEventKind::EpochChange,
-                0,
-                NO_BLOCK,
-                self.shard as u16,
-                w as u16,
-                self.epoch as u64,
-            );
-            self.replicate(CheckpointDelta {
-                epoch: self.epoch,
-                slot: MEMBERSHIP_ONLY,
-                ver: 0,
-                members: Vec::new(),
-                evicted: self.evicted_wids(),
-                entries: Vec::new(),
-            })?;
-            // Renormalize: phases already in flight may now be
-            // complete without `w`'s contribution; idle versions must
-            // forget `w`'s stale seen bit so the *next* phase does not
-            // wait for it either.
-            for g in 0..self.layout.total_streams() {
-                if self.slots[g].is_none() {
-                    continue;
-                }
-                for v in 0..2 {
-                    let slot = self.slots[g].as_mut().unwrap();
-                    if slot.count[v] == 0 {
-                        slot.seen[v][w] = false;
-                    } else {
-                        self.complete_if_ready(g, v)?;
-                    }
-                }
+            self.note_epoch(ev.worker as u16);
+            if let Some(delta) = self.machine.membership_delta(Vec::new()) {
+                self.replicate(delta)?;
+            }
+            for (g, v) in self.machine.in_flight() {
+                self.complete_if_ready(g, v)?;
             }
         }
         Ok(())
     }
 
     fn handle_data(&mut self, p: Packet) -> Result<(), TransportError> {
-        let g = p.slot as usize;
-        let v = (p.ver & 1) as usize;
-        let wid = p.wid as usize;
-        let width = self.layout.width();
-
-        if wid < self.evicted.len() && self.evicted[wid] {
-            // A zombie: evicted, but packets still in flight (or the
-            // worker is alive behind a healed partition). Its phase
-            // accounting has been renormalized without it, so its
-            // contributions must not be aggregated. In `Rejoin` mode
-            // the zombie is answered with the current `Welcome` so it
-            // fails fast ([`ProtocolError::Evicted`]) and can re-join;
-            // otherwise it fails via its own retry budget.
-            self.stats.evicted_packets_dropped += 1;
-            if self.cfg.degraded_mode == DegradedMode::Rejoin {
-                let welcome = Message::Welcome {
-                    epoch: self.epoch,
-                    vers: self.ver_cursors(),
+        let (g, v, wid) = (p.slot as usize, (p.ver & 1) as usize, p.wid as usize);
+        let admit = self.machine.on_data(g, p.ver, wid, p.epoch, self.now_ns());
+        match admit {
+            Admit::Zombie { welcome } => {
+                self.stats.evicted_packets_dropped += 1;
+                return if welcome {
+                    self.send_welcome(wid)
+                } else {
+                    Ok(())
                 };
-                crate::wire::send_best_effort(
-                    &self.transport,
-                    NodeId(self.cfg.worker_node(wid)),
-                    &welcome,
-                )?;
             }
-            return Ok(());
-        }
-
-        if wid < self.member_epoch.len() && epoch_before(p.epoch, self.member_epoch[wid]) {
-            // A straggler from before this worker's (re)admission:
-            // its phase state was wiped at admission, so aggregating
-            // pre-admission packets would corrupt the fresh cursors.
-            // The admission epoch makes the rejection deterministic.
-            self.stats.stale_epoch_dropped += 1;
-            self.counters.stale_epoch_dropped.inc();
-            return Ok(());
-        }
-
-        // First accepted packet after a fully-idle period starts a new
-        // round: restart every member's liveness clock so silence
-        // accumulated while nobody owed anything (a gap between rounds,
-        // a worker blocked on its caller) cannot trigger an instant
-        // eviction the moment the group starts waiting again.
-        if !self.busy {
-            self.busy = true;
-            let now = Instant::now();
-            for t in self.last_heard.iter_mut() {
-                *t = now;
+            Admit::StaleEpoch => {
+                self.stats.stale_epoch_dropped += 1;
+                self.counters.stale_epoch_dropped.inc();
+                return Ok(());
             }
+            _ => {}
         }
-
         // Keyed by the first entry's block, mirroring the sender's
         // PacketTx key so the reconstructor can pair tx with rx.
-        if let Some(first) = p.entries.first() {
-            self.flight.record(
-                FlightEventKind::PacketRx,
-                0,
-                first.block as u64,
-                self.shard as u16,
-                p.wid,
-                p.entries.len() as u64,
-            );
+        let first = p.entries.first().map(|e| e.block as u64);
+        if let Some(block) = first {
+            let (shard, len) = (self.shard as u16, p.entries.len() as u64);
+            self.flight
+                .record(FlightEventKind::PacketRx, 0, block, shard, p.wid, len);
         }
-
-        let slot = self.slots[g].as_mut().expect("stream not owned by shard");
-
-        if slot.seen[v][wid] {
-            // Duplicate (network dup or worker retransmission). If the
-            // phase is complete, the worker evidently missed the result:
-            // unicast it back (Algorithm 2 lines 47–49).
-            self.stats.duplicates_ignored += 1;
-            self.counters.duplicates_ignored.inc();
-            if slot.count[v] == 0 {
-                if let Some(result) = slot.result[v].as_ref() {
+        match admit {
+            Admit::Zombie { .. } | Admit::StaleEpoch => unreachable!(),
+            Admit::Resend(result) => {
+                self.stats.duplicates_ignored += 1;
+                self.counters.duplicates_ignored.inc();
+                if let Some(result) = result {
                     self.stats.result_retransmissions += 1;
                     self.counters.result_retransmissions.inc();
-                    crate::wire::send_best_effort(
-                        &self.transport,
-                        NodeId(self.cfg.worker_node(wid)),
-                        result,
-                    )?;
+                    let node = NodeId(self.cfg.worker_node(wid));
+                    crate::wire::send_best_effort(&self.transport, node, result)?;
                 }
-            } else {
-                // Phase in progress and a worker is already
-                // retransmitting: the stall is real, and this shard
-                // knows *exactly* whose contribution it lacks.
-                // Receiver-driven recovery: solicit the missing workers
-                // directly instead of letting every worker's timer race
-                // (the retransmission-storm path — see DESIGN.md "Fault
-                // model & degradation").
+                return Ok(());
+            }
+            Admit::Nack => {
+                self.stats.duplicates_ignored += 1;
+                self.counters.duplicates_ignored.inc();
+                // Receiver-driven recovery: solicit exactly the missing
+                // workers instead of letting every worker's timer race
+                // (DESIGN.md "Fault model & degradation").
                 let nack = Message::Block(Packet {
                     kind: PacketKind::Nack,
                     ver: v as u8,
                     slot: g as u16,
                     stream: self.cfg.stream_id,
                     wid: u16::MAX,
-                    epoch: self.epoch,
+                    epoch: self.machine.epoch(),
                     entries: Vec::new(),
                 });
-                for w in 0..self.cfg.num_workers {
-                    if slot.seen[v][w] || self.departed[w] || self.evicted[w] {
-                        continue;
-                    }
+                for w in self.machine.missing(g, v) {
                     self.stats.nacks_sent += 1;
                     self.counters.nacks_sent.inc();
-                    self.flight.record(
-                        FlightEventKind::NackTx,
-                        0,
-                        NO_BLOCK,
-                        self.shard as u16,
-                        w as u16,
-                        0,
-                    );
-                    crate::wire::send_best_effort(
-                        &self.transport,
-                        NodeId(self.cfg.worker_node(w)),
-                        &nack,
-                    )?;
+                    self.record(FlightEventKind::NackTx, NO_BLOCK, w as u16, 0);
+                    self.send_to(w, &nack)?;
+                }
+                return Ok(());
+            }
+            Admit::Fresh {
+                opened,
+                retired,
+                lateness_ns,
+            } => {
+                // Contribution lateness vs the phase opener, for the
+                // straggler detector.
+                if let Some(h) = self.counters.contrib_delay.get(wid) {
+                    h.record(lateness_ns);
+                }
+                // The retired result's retransmission window is over.
+                if let Some(old) = retired {
+                    self.pool.recycle_message(old);
+                }
+                if let (true, Some(block)) = (opened, first) {
+                    // The first contribution claims the phase's slot;
+                    // released in `complete_if_ready` under the same key.
+                    self.record(FlightEventKind::SlotOccupy, block, p.wid, v as u64);
                 }
             }
-            // A trailing duplicate of a *completed* phase must not leave
-            // the shard marked busy: the idle→busy edge above fired for
-            // a packet that opened no work, and with nothing in flight
-            // no completion will ever clear the flag again — the armed
-            // eviction sweep would then count the inter-round gap as
-            // member silence (and, in the simulator, re-arm forever and
-            // keep the event queue from draining).
-            if self.busy && self.fully_idle() {
-                self.busy = false;
-            }
-            return Ok(());
         }
-
-        // First packet of a fresh phase resets that version's state
-        // (Algorithm 2 lines 36–38 generalize per column).
-        slot.seen[v][wid] = true;
-        slot.seen[v ^ 1][wid] = false;
-        slot.count[v] += 1;
-        // Contribution lateness vs the phase opener, for the straggler
-        // detector. Clock reads only when the histograms are registered.
-        if let Some(h) = self.counters.contrib_delay.get(wid) {
-            if slot.count[v] == 1 {
-                slot.first_arrival[v] = Some(Instant::now());
-                h.record(0);
-            } else if let Some(opened) = slot.first_arrival[v] {
-                h.record(opened.elapsed().as_nanos() as u64);
-            }
-        }
-        if slot.count[v] == 1 {
-            // First packet of a fresh phase: reset the columns in place
-            // (keeping their buffers) and recycle the retired result's
-            // buffers — its retransmission window is over (DESIGN §9).
-            for col in slot.cols[v].iter_mut() {
-                col.reset();
-            }
-            if let Some(old) = slot.result[v].take() {
-                self.pool.recycle_message(old);
-            }
-            // First contribution claims the phase's slot; released in
-            // `complete_if_ready` under the same (block, shard) key.
-            if let Some(first) = p.entries.first() {
-                self.flight.record(
-                    FlightEventKind::SlotOccupy,
-                    0,
-                    first.block as u64,
-                    self.shard as u16,
-                    p.wid,
-                    v as u64,
-                );
-            }
-        }
-
-        let slot = self.slots[g].as_mut().expect("stream not owned by shard");
+        let width = self.machine.layout().width();
         for entry in &p.entries {
             let (col, next) = decode_next(entry.next, width);
-            let cp = &mut slot.cols[v][col];
-            // Acks carry the requested block too: record it even without
-            // data, so an all-ack phase (possible when the only worker
-            // whose chain pointed at this block was evicted mid-phase)
-            // still advances the column instead of dropping it from the
-            // result and stalling the chain forever.
-            match cp.block {
-                None => cp.block = Some(entry.block),
-                Some(b) => debug_assert_eq!(b, entry.block, "phase mixes blocks"),
-            }
+            let acc = self.machine.fold(g, p.ver, col, entry.block, next);
             if !entry.data.is_empty() {
-                // Arrival-order mode reduces immediately (vectorized
-                // kernel); deterministic §7 mode copies into the
-                // worker's persistent buffer, reduced in worker-id
-                // order at completion. No per-block allocation.
-                cp.acc.store(wid, &entry.data);
+                // Arrival-order mode reduces immediately; §7 mode copies
+                // into the worker's persistent buffer. No allocation.
+                acc.store(wid, &entry.data);
             }
-            cp.min_next = cp.min_next.min(if next == INFINITY_BLOCK {
-                INFINITY_BLOCK as i64
-            } else {
-                next as i64
-            });
         }
-
-        self.complete_if_ready(g, v)?;
-        Ok(())
+        self.complete_if_ready(g, v)
     }
 
-    /// Number of contributions version `v` of slot `g` needs before its
-    /// phase completes: all workers, minus the evicted ones that have
-    /// not already contributed to this phase.
-    fn needed(&self, g: usize, v: usize) -> usize {
-        let slot = self.slots[g].as_ref().expect("stream not owned by shard");
-        let missing_evicted = (0..self.cfg.num_workers)
-            .filter(|&w| self.evicted[w] && !slot.seen[v][w])
-            .count();
-        self.cfg.num_workers - missing_evicted
-    }
-
-    /// Completes version `v` of slot `g` if its in-flight phase has all
-    /// the contributions it needs (Algorithm 2 l.42, with the count
-    /// renormalized past evicted workers), multicasting the result to
-    /// the surviving workers.
+    /// Completes version `v` of stream `g` if its phase has every
+    /// contribution it needs, multicasting the result to the surviving
+    /// workers.
     fn complete_if_ready(&mut self, g: usize, v: usize) -> Result<(), TransportError> {
-        let n = self.cfg.num_workers;
-        let width = self.layout.width();
-        let needed = self.needed(g, v);
-        let slot = self.slots[g].as_mut().expect("stream not owned by shard");
-        if slot.count[v] == 0 || slot.count[v] < needed {
+        if !self.machine.ready(g, v) {
             return Ok(());
         }
-        // Phase complete (the count wraps to 0, Algorithm 2 l.42).
-        slot.count[v] = 0;
-        if needed < n {
+        let width = self.machine.layout().width();
+        let mut entries = self.pool.checkout_entries();
+        let pool = &mut self.pool;
+        let degraded = self.machine.complete(g, v, |o, acc| {
+            let next = encode_next(o.next, o.col, width);
+            if acc.touched() {
+                let mut data = pool.checkout_f32();
+                acc.take_into(&mut data);
+                entries.push(Entry::data(o.block, next, data));
+            } else {
+                // All-ack phase: every surviving contributor skipped the
+                // block (its requester was evicted). The zero aggregate
+                // advances the chain without a payload.
+                entries.push(Entry::ack(o.block, next));
+            }
+        });
+        if degraded {
             self.stats.degraded_completions += 1;
             self.counters.degraded_completions.inc();
         }
-        let mut entries = self.pool.checkout_entries();
-        for (c, cp) in slot.cols[v].iter_mut().enumerate() {
-            let Some(block) = cp.block else { continue };
-            let min_next = if cp.min_next == i64::MAX || cp.min_next == INFINITY_BLOCK as i64 {
-                INFINITY_BLOCK
-            } else {
-                cp.min_next as BlockIdx
-            };
-            if cp.acc.touched() {
-                let mut data = self.pool.checkout_f32();
-                cp.acc.take_into(&mut data);
-                entries.push(Entry::data(block, encode_next(min_next, c, width), data));
-            } else {
-                // All-ack phase: every surviving contributor skipped this
-                // block (the evicted worker that requested it never sent
-                // its data). The aggregate is zero — an ack result entry
-                // advances the chain without carrying a payload.
-                entries.push(Entry::ack(block, encode_next(min_next, c, width)));
-            }
-        }
-        // Forget evicted workers' seen bits so the *next* phase of this
-        // version does not count them as pending contributors.
-        for w in 0..n {
-            if self.evicted[w] {
-                slot.seen[v][w] = false;
-            }
-        }
-        // The stream's next fresh phase runs the other version — the
-        // cursor handed to joiners admitted at the round boundary.
-        let members: Vec<u16> = (0..n)
-            .filter(|&w| slot.seen[v][w])
-            .map(|w| w as u16)
-            .collect();
-        self.next_ver[g] = (v ^ 1) as u8;
+        let (first, len) = (
+            entries.first().map(|e| e.block as u64),
+            entries.len() as u64,
+        );
         // Failover bit-identity invariant (DESIGN §12): the completed
-        // phase is checkpointed to the standby *before* any worker can
-        // see its result, so no worker can advance past a phase the
-        // standby does not hold.
-        if self.cfg.hot_standby && !self.standby {
-            self.replicate(CheckpointDelta {
-                epoch: self.epoch,
-                slot: g as u16,
-                ver: v as u8,
-                members,
-                evicted: self.evicted_wids(),
-                entries: entries.clone(),
-            })?;
+        // phase reaches the standby before any worker sees its result.
+        if let Some(mut delta) = self.machine.phase_checkpoint(g, v) {
+            delta.entries = entries.clone();
+            self.replicate(delta)?;
         }
         let result = Message::Block(Packet {
             kind: PacketKind::Result,
@@ -1884,43 +1115,20 @@ impl<T: Transport> RecoveryAggregator<T> {
             slot: g as u16,
             stream: self.cfg.stream_id,
             wid: u16::MAX,
-            epoch: self.epoch,
+            epoch: self.machine.epoch(),
             entries,
         });
-        let workers: Vec<NodeId> = (0..n)
-            .filter(|w| !self.departed[*w] && !self.evicted[*w])
-            .map(|w| NodeId(self.cfg.worker_node(w)))
-            .collect();
         self.stats.results_sent += 1;
         self.counters.results_sent.inc();
-        if let Message::Block(ref pkt) = result {
-            if let Some(first) = pkt.entries.first() {
-                self.flight.record(
-                    FlightEventKind::SlotRelease,
-                    0,
-                    first.block as u64,
-                    self.shard as u16,
-                    u16::MAX,
-                    v as u64,
-                );
-                self.flight.record(
-                    FlightEventKind::ResultTx,
-                    0,
-                    first.block as u64,
-                    self.shard as u16,
-                    u16::MAX,
-                    pkt.entries.len() as u64,
-                );
-            }
+        if let Some(block) = first {
+            self.record(FlightEventKind::SlotRelease, block, u16::MAX, v as u64);
+            self.record(FlightEventKind::ResultTx, block, u16::MAX, len);
         }
-        for w in &workers {
-            crate::wire::send_best_effort(&self.transport, *w, &result)?;
+        for w in self.machine.recipients() {
+            self.send_to(w, &result)?;
         }
-        self.slots[g].as_mut().unwrap().result[v] = Some(result);
-        if self.fully_idle() {
-            // Round boundary: the next accepted packet re-arms the
-            // liveness clocks (see `busy`).
-            self.busy = false;
+        if let Some(old) = self.machine.retain(g, v, result) {
+            self.pool.recycle_message(old);
         }
         Ok(())
     }

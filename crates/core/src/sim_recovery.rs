@@ -3,13 +3,14 @@
 //! simulated timers — the deterministic counterpart of the wall-clock
 //! measurement in `fig21_loss`.
 //!
-//! Mirrors [`crate::recovery`]: every worker answers every result packet
-//! (data or ack per active column), the aggregator completes a phase by
-//! counting distinct workers, keeps two slot versions, retains completed
-//! results for retransmission, and workers arm a per-stream timer for
-//! every packet they send. Packet payloads are elided; the simulator
+//! The actors are simnet drivers of the *same machines* as the executable
+//! recovery engines ([`crate::recovery`]): [`RecWorkerMachine`] and
+//! [`RecAggMachine`]. Only the bytes, the timers and the counters are
+//! the simulator's own: packet payloads are elided (the simulator
 //! charges exact encoded sizes and drops packets per the NICs' loss
-//! probability.
+//! probability), timers are simulated-time `ctx.set_timer` tokens, and
+//! flight lanes record simulated nanoseconds. The simulator deploys no
+//! hot standby.
 //!
 //! The aggregator actor never halts (it must stay able to serve result
 //! retransmissions after the last multicast); the run ends when the
@@ -20,16 +21,14 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use omnireduce_simnet::{ActorId, Ctx, NicConfig, Process, SimTime, Simulator};
-use omnireduce_telemetry::{
-    Counter, FlightEventKind, FlightLane, Histogram, LaneRole, Telemetry, NO_BLOCK,
-};
-use omnireduce_tensor::{BlockIdx, NonZeroBitmap, INFINITY_BLOCK};
+use omnireduce_telemetry::{FlightEventKind, FlightLane, LaneRole, Telemetry, NO_BLOCK};
+use omnireduce_tensor::NonZeroBitmap;
 use omnireduce_transport::codec::ENTRY_HEADER_BYTES;
-use omnireduce_transport::timer::RttEstimator;
 
-use crate::config::OmniConfig;
+use crate::config::{DegradedMode, OmniConfig};
 use crate::layout::StreamLayout;
-use crate::recovery::epoch_before;
+use crate::proto::{Admit, Answer, Expiry, Offer, RecAggMachine, RecWorkerMachine, RtoPolicy};
+use crate::recovery::{RecoveryAggCounters, RecoveryCounters, Resend};
 use crate::sim::{SimEntry, SimOutcome};
 
 /// Retransmission-timer policy for the simulated recovery protocol —
@@ -82,6 +81,18 @@ impl SimRtoConfig {
         assert!(n >= 1, "retry budget must be positive");
         self.max_retransmits = n;
         self
+    }
+    /// The machine policy this configures (no standby in the simulator).
+    fn policy(&self) -> RtoPolicy {
+        let d = |t: SimTime| Duration::from_nanos(t.as_nanos());
+        RtoPolicy {
+            adaptive: self.adaptive,
+            initial: d(self.initial),
+            min: d(self.min),
+            max: d(self.max),
+            max_retransmits: self.max_retransmits,
+            hot_standby: false,
+        }
     }
 }
 
@@ -148,6 +159,14 @@ pub enum RecMsg {
         /// Per-column aggregated entries.
         entries: Vec<SimEntry>,
     },
+    /// Aggregator → worker: a phase in progress lacks the worker's
+    /// contribution (an entry-less packet on the wire).
+    Nack {
+        /// Stream id.
+        stream: usize,
+        /// Stalled phase version.
+        ver: u8,
+    },
 }
 
 fn msg_bytes(stream_id: u16, entries: &[SimEntry]) -> usize {
@@ -158,103 +177,43 @@ fn msg_bytes(stream_id: u16, entries: &[SimEntry]) -> usize {
             .sum::<usize>()
 }
 
-/// `core.sim_recovery.*` loss-path counter handles shared by every actor
-/// of one run (detached when the run carries no telemetry registry).
-#[derive(Clone)]
-struct RecCounters {
-    retransmissions: Counter,
-    timer_fires: Counter,
-    stale_results_ignored: Counter,
-    duplicates_ignored: Counter,
-    result_retransmissions: Counter,
-    backoffs: Counter,
-    peer_unresponsive: Counter,
-    /// `core.sim_recovery.rto`: armed RTO per sent packet, in µs.
-    rto: Histogram,
-}
-
-impl RecCounters {
-    fn new(telemetry: Option<&Telemetry>) -> Self {
-        match telemetry {
-            Some(t) => RecCounters {
-                retransmissions: t.counter("core.sim_recovery.retransmissions"),
-                timer_fires: t.counter("core.sim_recovery.timer_fires"),
-                stale_results_ignored: t.counter("core.sim_recovery.stale_results_ignored"),
-                duplicates_ignored: t.counter("core.sim_recovery.duplicates_ignored"),
-                result_retransmissions: t.counter("core.sim_recovery.result_retransmissions"),
-                backoffs: t.counter("core.sim_recovery.backoffs"),
-                peer_unresponsive: t.counter("core.sim_recovery.peer_unresponsive"),
-                rto: t.histogram("core.sim_recovery.rto"),
-            },
-            None => RecCounters {
-                retransmissions: Counter::detached(),
-                timer_fires: Counter::detached(),
-                stale_results_ignored: Counter::detached(),
-                duplicates_ignored: Counter::detached(),
-                result_retransmissions: Counter::detached(),
-                backoffs: Counter::detached(),
-                peer_unresponsive: Counter::detached(),
-                rto: Histogram::detached(),
-            },
-        }
+/// A simulated entry for `o` carrying `values` payload values.
+fn sim_entry(o: Offer, values: usize) -> SimEntry {
+    SimEntry {
+        block: o.block,
+        col: o.col,
+        next: o.next,
+        values,
     }
 }
 
-struct WCol {
-    my_next: BlockIdx,
-    done: bool,
-}
-
-struct WStream {
-    cols: Vec<Option<WCol>>,
-    remaining: usize,
-    ver: u8,
-    outstanding: Option<Vec<SimEntry>>,
-    /// Bumps on every (re)send; stale timer tokens are ignored.
-    timer_epoch: u32,
-    /// When the outstanding packet was first sent (for RTT sampling).
-    sent_at: SimTime,
-    /// Karn's rule: a retransmitted packet's answer feeds no RTT sample.
-    retransmitted: bool,
-    /// Consecutive unanswered retransmissions of the outstanding packet.
-    retx: u32,
-}
-
+/// Worker actor: the simnet driver of [`RecWorkerMachine`].
 struct RecWorker {
     cfg: OmniConfig,
-    layout: StreamLayout,
     wid: usize,
-    bitmap: Arc<NonZeroBitmap>,
+    /// Armed with this worker's bitmap before the run starts.
+    machine: RecWorkerMachine,
     shards: Vec<ActorId>,
-    rto_cfg: SimRtoConfig,
-    /// Per-shard RTT estimator (adaptive mode).
-    rtt: Vec<RttEstimator>,
-    streams: Vec<Option<WStream>>,
-    pending: usize,
-    /// Retransmissions performed (surfaced through `finished` stats by
-    /// the driver via closure capture — kept for debug assertions).
-    retransmissions: u64,
-    /// Set when the retry budget ran out: the worker has halted as
-    /// failed and ignores everything from then on.
-    failed: bool,
-    /// Membership epoch this worker believes is current (adopted from
-    /// newer `Result` epochs, mirroring the live engine).
-    epoch: u8,
+    /// Per stream: the outstanding packet's entries, for resends.
+    packets: Vec<Option<Vec<SimEntry>>>,
+    /// Per stream: bumped on every arm and on every answer, so a timer
+    /// token from an earlier packet is recognized as stale.
+    timer_gen: Vec<u32>,
     /// Scheduled departure (simulated crash): the worker goes silent at
     /// this time and halts.
     depart_at: Option<SimTime>,
-    /// Set once the departure fired.
-    departed: bool,
+    /// Departed, or gave up on an unreachable shard: ignores everything.
+    halted: bool,
     /// Shared sink for failed worker ids, read by the driver.
     failed_sink: Arc<Mutex<Vec<usize>>>,
-    counters: RecCounters,
+    counters: RecoveryCounters,
     /// Flight lane recording simulated-time protocol events
     /// (`record_at` with sim ns — never the wall clock).
     flight: FlightLane,
 }
 
-fn timer_token(stream: usize, epoch: u32) -> u64 {
-    ((stream as u64) << 32) | epoch as u64
+fn timer_token(stream: usize, generation: u32) -> u64 {
+    ((stream as u64) << 32) | generation as u64
 }
 
 /// Worker timer token for the scripted departure (never collides with
@@ -265,490 +224,268 @@ const DEPART_TOKEN: u64 = u64::MAX;
 const SWEEP_TOKEN: u64 = u64::MAX;
 
 impl RecWorker {
-    /// RTO to arm for the next packet to `shard` (adaptive or fixed),
-    /// recorded into the `core.sim_recovery.rto` histogram (µs).
-    fn next_rto(&mut self, shard: usize) -> SimTime {
-        let rto = if self.rto_cfg.adaptive {
-            SimTime::from_nanos(self.rtt[shard].next_rto().as_nanos() as u64)
-        } else {
-            self.rto_cfg.initial
-        };
-        self.counters.rto.record(rto.as_nanos() / 1_000);
-        rto
+    fn record(&self, ctx: &Ctx<RecMsg>, kind: FlightEventKind, block: u64, shard: usize, aux: u64) {
+        let (shard, wid) = (shard as u16, self.wid as u16);
+        self.flight
+            .record_at(ctx.now().as_nanos(), kind, 0, block, shard, wid, aux);
     }
 
-    fn send(&mut self, ctx: &mut Ctx<RecMsg>, g: usize, entries: Vec<SimEntry>) {
+    /// Sends stream `g`'s packet of `entries` and arms its timer for
+    /// `rto`.
+    fn transmit(&mut self, ctx: &mut Ctx<RecMsg>, g: usize, entries: Vec<SimEntry>, rto: Duration) {
         let bytes = msg_bytes(self.cfg.stream_id, &entries);
-        let shard_idx = self.cfg.shard_of_stream(g);
-        let shard = self.shards[shard_idx];
-        let now = ctx.now();
-        {
-            let state = self.streams[g].as_mut().expect("stream");
-            if let Some(first) = entries.first() {
-                self.flight.record_at(
-                    now.as_nanos(),
-                    FlightEventKind::PacketTx,
-                    0,
-                    first.block as u64,
-                    shard_idx as u16,
-                    self.wid as u16,
-                    bytes as u64,
-                );
-            }
-            ctx.send(
+        self.counters.bytes_sent.add(bytes as u64);
+        let shard = self.machine.shard_of(g);
+        let msg = RecMsg::Data {
+            stream: g,
+            ver: self.machine.ver(g),
+            wid: self.wid,
+            epoch: self.machine.epoch(),
+            entries,
+        };
+        ctx.send(self.shards[shard], msg, bytes);
+        self.counters.note_rto(rto, self.machine.srtt(shard));
+        self.timer_gen[g] += 1;
+        let token = timer_token(g, self.timer_gen[g]);
+        ctx.set_timer(SimTime::from_nanos(rto.as_nanos() as u64), token);
+    }
+
+    /// Sends stream `g`'s next packet and arms its timer.
+    fn send_new(&mut self, ctx: &mut Ctx<RecMsg>, g: usize, entries: Vec<SimEntry>) {
+        let bytes = msg_bytes(self.cfg.stream_id, &entries) as u64;
+        let blocks = entries.iter().filter(|e| e.values > 0).count() as u64;
+        self.counters.packets_sent.inc();
+        self.counters.blocks_sent.add(blocks);
+        if let Some(first) = entries.first() {
+            let shard = self.machine.shard_of(g);
+            self.record(
+                ctx,
+                FlightEventKind::PacketTx,
+                first.block as u64,
                 shard,
-                RecMsg::Data {
-                    stream: g,
-                    ver: state.ver,
-                    wid: self.wid,
-                    epoch: self.epoch,
-                    entries: entries.clone(),
-                },
                 bytes,
             );
-            state.outstanding = Some(entries);
-            state.timer_epoch += 1;
-            state.sent_at = now;
-            state.retransmitted = false;
-            state.retx = 0;
         }
-        let rto = self.next_rto(shard_idx);
-        let state = self.streams[g].as_mut().expect("stream");
-        ctx.set_timer(rto, timer_token(g, state.timer_epoch));
+        self.packets[g] = Some(entries.clone());
+        let rto = self.machine.sent(g, ctx.now().as_nanos());
+        self.transmit(ctx, g, entries, rto);
+    }
+
+    /// Sends stream `g`'s outstanding packet again and re-arms its timer.
+    fn resend(&mut self, ctx: &mut Ctx<RecMsg>, g: usize, why: Resend, rto: Duration) {
+        let entries = self.packets[g].clone().expect("outstanding packet");
+        let shard = self.machine.shard_of(g);
+        let bytes = msg_bytes(self.cfg.stream_id, &entries) as u64;
+        let block = entries.first().map_or(NO_BLOCK, |e| e.block as u64);
+        self.counters.retransmissions.inc();
+        if let Resend::Nack = why {
+            self.counters.solicited_retransmissions.inc();
+        }
+        for (kind, aux) in why.events(bytes) {
+            self.record(ctx, kind, block, shard, aux);
+        }
+        self.transmit(ctx, g, entries, rto);
+    }
+
+    fn on_result(
+        &mut self,
+        ctx: &mut Ctx<RecMsg>,
+        g: usize,
+        ver: u8,
+        epoch: u8,
+        entries: &[SimEntry],
+    ) {
+        let shard = self.machine.shard_of(g);
+        let head = self.machine.on_result(g, ver, epoch, ctx.now().as_nanos());
+        if head.adopted_epoch {
+            self.record(
+                ctx,
+                FlightEventKind::EpochChange,
+                NO_BLOCK,
+                shard,
+                epoch as u64,
+            );
+        }
+        self.record(
+            ctx,
+            FlightEventKind::ResultRx,
+            NO_BLOCK,
+            shard,
+            entries.len() as u64,
+        );
+        if !head.fresh {
+            self.counters.stale_results_ignored.inc();
+            return;
+        }
+        // Cancel the answered packet's timer.
+        self.timer_gen[g] += 1;
+        self.packets[g] = None;
+        let layout = *self.machine.layout();
+        let reply: Vec<SimEntry> = entries
+            .iter()
+            .filter_map(|e| match self.machine.answer(g, e.col, e.next)? {
+                Answer::Data(o) => Some(sim_entry(o, layout.block_range(o.block).len())),
+                Answer::Ack(o) => Some(sim_entry(o, 0)),
+            })
+            .collect();
+        if !reply.is_empty() {
+            self.send_new(ctx, g, reply);
+        } else if self.machine.round_done() {
+            self.record(ctx, FlightEventKind::RoundEnd, NO_BLOCK, 0, 0);
+            ctx.halt();
+        }
     }
 }
 
 impl Process<RecMsg> for RecWorker {
     fn on_start(&mut self, ctx: &mut Ctx<RecMsg>) {
-        self.flight.record_at(
-            ctx.now().as_nanos(),
-            FlightEventKind::RoundStart,
-            0,
-            NO_BLOCK,
-            0,
-            self.wid as u16,
-            0,
-        );
-        let layout = self.layout;
-        let skip = self.cfg.skip_zero_blocks;
-        self.streams = (0..layout.total_streams()).map(|_| None).collect();
+        self.record(ctx, FlightEventKind::RoundStart, NO_BLOCK, 0, 0);
+        let layout = *self.machine.layout();
         for g in layout.active_streams() {
-            let mut cols: Vec<Option<WCol>> = Vec::with_capacity(layout.width());
-            let mut entries = Vec::new();
-            let mut remaining = 0;
-            for c in 0..layout.width() {
-                match layout.first_block(g, c) {
-                    Some(b0) => {
-                        let my_next = layout.next_block(&self.bitmap, g, c, Some(b0), skip);
-                        entries.push(SimEntry {
-                            block: b0,
-                            col: c,
-                            next: my_next,
-                            values: layout.block_range(b0).len(),
-                        });
-                        cols.push(Some(WCol {
-                            my_next,
-                            done: false,
-                        }));
-                        remaining += 1;
-                    }
-                    None => cols.push(None),
-                }
-            }
-            self.streams[g] = Some(WStream {
-                cols,
-                remaining,
-                ver: 0,
-                outstanding: None,
-                timer_epoch: 0,
-                sent_at: SimTime::ZERO,
-                retransmitted: false,
-                retx: 0,
+            let mut entries = Vec::with_capacity(layout.width());
+            self.machine.first_row(g, |o| {
+                entries.push(sim_entry(o, layout.block_range(o.block).len()))
             });
-            self.pending += 1;
-            self.send(ctx, g, entries);
+            self.send_new(ctx, g, entries);
         }
         if let Some(t) = self.depart_at {
             ctx.set_timer(t, DEPART_TOKEN);
         }
-        if self.pending == 0 {
+        if self.machine.round_done() {
             ctx.halt();
         }
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<RecMsg>, _from: ActorId, msg: RecMsg) {
-        let RecMsg::Result {
-            stream: g,
-            ver,
-            epoch,
-            entries,
-        } = msg
-        else {
-            panic!("worker got non-result");
-        };
-        if self.failed || self.departed {
+        if self.halted {
             return;
         }
-        if epoch_before(self.epoch, epoch) {
-            // The group's membership moved on (an eviction happened):
-            // adopt the epoch, mirroring the live worker.
-            self.epoch = epoch;
-            self.flight.record_at(
-                ctx.now().as_nanos(),
-                FlightEventKind::EpochChange,
-                0,
-                NO_BLOCK,
-                self.cfg.shard_of_stream(g) as u16,
-                self.wid as u16,
-                epoch as u64,
-            );
-        }
-        let layout = self.layout;
-        let skip = self.cfg.skip_zero_blocks;
-        let now = ctx.now();
-        let Some(state) = self.streams[g].as_mut() else {
-            // Stream already finished; stale retransmission.
-            self.counters.stale_results_ignored.inc();
-            return;
-        };
-        if ver != state.ver {
-            // Duplicate of a processed phase.
-            self.counters.stale_results_ignored.inc();
-            return;
-        }
-        self.flight.record_at(
-            now.as_nanos(),
-            FlightEventKind::ResultRx,
-            0,
-            NO_BLOCK,
-            self.cfg.shard_of_stream(g) as u16,
-            self.wid as u16,
-            entries.len() as u64,
-        );
-        if self.rto_cfg.adaptive {
-            let shard = self.cfg.shard_of_stream(g);
-            if state.outstanding.is_some() && !state.retransmitted {
-                let rtt =
-                    Duration::from_nanos(now.as_nanos().saturating_sub(state.sent_at.as_nanos()));
-                self.rtt[shard].sample(rtt);
-            } else {
-                // Karn's rule: ambiguous answer, reset backoff only.
-                self.rtt[shard].ack();
+        match msg {
+            RecMsg::Result {
+                stream,
+                ver,
+                epoch,
+                entries,
+            } => self.on_result(ctx, stream, ver, epoch, &entries),
+            RecMsg::Nack { stream, ver } => {
+                if let Some(rto) = self.machine.on_nack(stream, ver) {
+                    self.resend(ctx, stream, Resend::Nack, rto);
+                }
             }
-        }
-        // Phase advances; invalidate the outstanding packet and timer.
-        state.ver ^= 1;
-        state.outstanding = None;
-        state.timer_epoch += 1;
-        let mut reply = Vec::new();
-        for e in &entries {
-            let cs = state.cols[e.col].as_mut().expect("column");
-            if cs.done {
-                continue;
-            }
-            let requested = e.next;
-            if requested == INFINITY_BLOCK {
-                cs.done = true;
-                state.remaining -= 1;
-                continue;
-            }
-            if cs.my_next == requested {
-                let new_next = layout.next_block(&self.bitmap, g, e.col, Some(requested), skip);
-                reply.push(SimEntry {
-                    block: requested,
-                    col: e.col,
-                    next: new_next,
-                    values: layout.block_range(requested).len(),
-                });
-                cs.my_next = new_next;
-            } else {
-                reply.push(SimEntry {
-                    block: requested,
-                    col: e.col,
-                    next: cs.my_next,
-                    values: 0, // ack
-                });
-            }
-        }
-        if state.remaining == 0 {
-            debug_assert!(reply.is_empty());
-            self.streams[g] = None;
-            self.pending -= 1;
-            if self.pending == 0 {
-                self.flight.record_at(
-                    ctx.now().as_nanos(),
-                    FlightEventKind::RoundEnd,
-                    0,
-                    NO_BLOCK,
-                    0,
-                    self.wid as u16,
-                    0,
-                );
-                ctx.halt();
-            }
-        } else {
-            self.send(ctx, g, reply);
+            RecMsg::Data { .. } => panic!("worker got data"),
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<RecMsg>, token: u64) {
-        if self.failed || self.departed {
+        if self.halted {
             return;
         }
         if token == DEPART_TOKEN {
             // Scripted crash: go permanently silent. The aggregator
             // will evict this worker once its silence exceeds the
             // membership plan's eviction timeout.
-            self.departed = true;
+            self.halted = true;
             ctx.halt();
             return;
+        }
+        let g = (token >> 32) as usize;
+        if self.timer_gen[g] != token as u32 {
+            return; // a timer of an answered or resent packet
         }
         self.counters.timer_fires.inc();
-        let g = (token >> 32) as usize;
-        let epoch = token as u32;
-        let shard_idx = self.cfg.shard_of_stream(g);
-        let shard = self.shards[shard_idx];
-        let Some(state) = self.streams.get_mut(g).and_then(|s| s.as_mut()) else {
-            return;
-        };
-        if state.timer_epoch != epoch {
-            return; // stale timer
-        }
-        let Some(entries) = state.outstanding.clone() else {
-            return;
-        };
-        if state.retx >= self.rto_cfg.max_retransmits {
-            // Retry budget exhausted: the shard is unreachable. Halt as
-            // failed so the simulation drains instead of re-arming
-            // timers forever.
-            self.failed = true;
-            self.counters.peer_unresponsive.inc();
-            self.failed_sink
-                .lock()
-                .expect("failed sink poisoned")
-                .push(self.wid);
-            ctx.halt();
-            return;
-        }
-        if self.rto_cfg.adaptive {
-            self.rtt[shard_idx].on_timeout();
-            self.counters.backoffs.inc();
-        }
-        state.retx += 1;
-        state.retransmitted = true;
-        // Retransmit and re-arm.
-        self.retransmissions += 1;
-        self.counters.retransmissions.inc();
-        let now = ctx.now().as_nanos();
-        self.flight.record_at(
-            now,
-            FlightEventKind::RtoFire,
-            0,
-            NO_BLOCK,
-            shard_idx as u16,
-            self.wid as u16,
-            now.saturating_sub(state.sent_at.as_nanos()),
-        );
-        self.flight.record_at(
-            now,
-            FlightEventKind::Retransmit,
-            0,
-            NO_BLOCK,
-            shard_idx as u16,
-            self.wid as u16,
-            state.retx as u64,
-        );
-        // Extra PacketTx so the aggregator's eventual rx pairs with this
-        // resend, not the lost original.
-        if let Some(first) = entries.first() {
-            self.flight.record_at(
-                now,
-                FlightEventKind::PacketTx,
-                0,
-                first.block as u64,
-                shard_idx as u16,
-                self.wid as u16,
-                msg_bytes(self.cfg.stream_id, &entries) as u64,
-            );
-        }
-        ctx.send(
-            shard,
-            RecMsg::Data {
-                stream: g,
-                ver: state.ver,
-                wid: self.wid,
-                epoch: self.epoch,
-                entries: entries.clone(),
-            },
-            msg_bytes(self.cfg.stream_id, &entries),
-        );
-        state.timer_epoch += 1;
-        let epoch = state.timer_epoch;
-        let rto = self.next_rto(shard_idx);
-        ctx.set_timer(rto, timer_token(g, epoch));
-    }
-}
-
-#[derive(Clone)]
-struct ColPhase {
-    block: Option<BlockIdx>,
-    values: usize,
-    min_next: i64,
-}
-
-impl ColPhase {
-    fn fresh() -> Self {
-        ColPhase {
-            block: None,
-            values: 0,
-            min_next: i64::MAX,
+        match self.machine.on_timer(g, ctx.now().as_nanos()) {
+            Expiry::Idle => {}
+            Expiry::Retransmit {
+                rto,
+                backoff,
+                waited_ns,
+            } => {
+                if backoff {
+                    self.counters.backoffs.inc();
+                }
+                self.resend(ctx, g, Resend::Timer { waited_ns }, rto);
+            }
+            Expiry::FailOver { .. } => unreachable!("the simulator deploys no standby"),
+            Expiry::GiveUp { .. } => {
+                // The shard is unreachable: halt as failed so the
+                // simulation drains instead of re-arming timers forever.
+                self.halted = true;
+                self.counters.peer_unresponsive.inc();
+                self.failed_sink
+                    .lock()
+                    .expect("failed sink poisoned")
+                    .push(self.wid);
+                ctx.halt();
+            }
         }
     }
 }
 
-struct VSlot {
-    cols: [Vec<ColPhase>; 2],
-    seen: [Vec<bool>; 2],
-    count: [usize; 2],
-    result: [Option<Vec<SimEntry>>; 2],
-}
-
+/// Aggregator shard actor: the simnet driver of [`RecAggMachine`] with
+/// a data marker for arithmetic, retaining whole result messages.
 struct RecAgg {
     cfg: OmniConfig,
-    layout: StreamLayout,
     shard: usize,
     workers: Vec<ActorId>,
-    slots: Vec<Option<VSlot>>,
-    counters: RecCounters,
+    machine: RecAggMachine<bool, RecMsg>,
+    counters: RecoveryAggCounters,
     /// Flight lane recording simulated-time protocol events.
     flight: FlightLane,
-    /// Current membership epoch; bumped on every eviction.
-    epoch: u8,
-    /// Workers evicted for simulated-time silence.
-    evicted: Vec<bool>,
-    /// Last simulated time each worker was heard from.
-    last_heard: Vec<SimTime>,
-    /// Whether any phase is in flight (mirrors the live engine's
-    /// idle→busy liveness-clock refresh).
-    busy: bool,
-    /// Eviction threshold; `None` disables the sweep entirely (the
-    /// pre-membership behavior, and the default for all entry points
-    /// without a [`SimMembership`] plan).
-    eviction_timeout: Option<SimTime>,
+    /// Eviction sweep period; `None` disables the sweep (every entry
+    /// point without a [`SimMembership`] plan).
+    sweep_tick: Option<SimTime>,
 }
 
 impl RecAgg {
-    fn waiting_on(&self, w: usize) -> bool {
-        self.slots
-            .iter()
-            .flatten()
-            .any(|slot| (0..2).any(|v| slot.count[v] > 0 && !slot.seen[v][w]))
-    }
-
-    fn fully_idle(&self) -> bool {
-        self.slots
-            .iter()
-            .flatten()
-            .all(|slot| slot.count[0] == 0 && slot.count[1] == 0)
-    }
-
-    /// Contributions version `v` of slot `g` needs: all workers minus
-    /// the evicted ones that have not already contributed.
-    fn needed(&self, g: usize, v: usize) -> usize {
-        let slot = self.slots[g].as_ref().expect("owned stream");
-        let missing_evicted = (0..self.cfg.num_workers)
-            .filter(|&w| self.evicted[w] && !slot.seen[v][w])
-            .count();
-        self.cfg.num_workers - missing_evicted
+    fn record(&self, ctx: &Ctx<RecMsg>, kind: FlightEventKind, block: u64, wid: usize, aux: u64) {
+        let (shard, wid) = (self.shard as u16, wid as u16);
+        self.flight
+            .record_at(ctx.now().as_nanos(), kind, 0, block, shard, wid, aux);
     }
 
     fn complete_if_ready(&mut self, ctx: &mut Ctx<RecMsg>, g: usize, v: usize) {
-        let n = self.cfg.num_workers;
-        let needed = self.needed(g, v);
-        let slot = self.slots[g].as_mut().expect("owned stream");
-        if slot.count[v] == 0 || slot.count[v] < needed {
+        if !self.machine.ready(g, v) {
             return;
         }
-        slot.count[v] = 0;
-        let mut result = Vec::new();
-        for (c, cp) in slot.cols[v].iter().enumerate() {
-            let Some(block) = cp.block else { continue };
-            let min_next = if cp.min_next == i64::MAX || cp.min_next == INFINITY_BLOCK as i64 {
-                INFINITY_BLOCK
+        let layout = *self.machine.layout();
+        let mut entries = Vec::with_capacity(layout.width());
+        let degraded = self.machine.complete(g, v, |o, &mut touched| {
+            let values = if touched {
+                layout.block_range(o.block).len()
             } else {
-                cp.min_next as BlockIdx
+                0
             };
-            result.push(SimEntry {
-                block,
-                col: c,
-                next: min_next,
-                values: cp.values,
-            });
+            entries.push(sim_entry(o, values));
+        });
+        if degraded {
+            self.counters.degraded_completions.inc();
         }
-        // Forget evicted workers' seen bits so the next phase of this
-        // version does not count them as pending contributors.
-        for w in 0..n {
-            if self.evicted[w] {
-                slot.seen[v][w] = false;
-            }
+        self.counters.results_sent.inc();
+        if let Some(first) = entries.first() {
+            let (block, len, all) = (first.block as u64, entries.len() as u64, u16::MAX as usize);
+            self.record(ctx, FlightEventKind::SlotRelease, block, all, v as u64);
+            self.record(ctx, FlightEventKind::ResultTx, block, all, len);
         }
-        let bytes = msg_bytes(self.cfg.stream_id, &result);
-        if let Some(first) = result.first() {
-            self.flight.record_at(
-                ctx.now().as_nanos(),
-                FlightEventKind::ResultTx,
-                0,
-                first.block as u64,
-                self.shard as u16,
-                u16::MAX,
-                result.len() as u64,
-            );
+        let bytes = msg_bytes(self.cfg.stream_id, &entries);
+        let epoch = self.machine.epoch();
+        let result = RecMsg::Result {
+            stream: g,
+            ver: v as u8,
+            epoch,
+            entries,
+        };
+        for w in self.machine.recipients() {
+            ctx.send(self.workers[w], result.clone(), bytes);
         }
-        for (w, actor) in self.workers.iter().enumerate() {
-            if self.evicted[w] {
-                continue;
-            }
-            ctx.send(
-                *actor,
-                RecMsg::Result {
-                    stream: g,
-                    ver: v as u8,
-                    epoch: self.epoch,
-                    entries: result.clone(),
-                },
-                bytes,
-            );
-        }
-        self.slots[g].as_mut().expect("owned stream").result[v] = Some(result);
-        if self.fully_idle() {
-            self.busy = false;
-        }
+        self.machine.retain(g, v, result);
     }
 }
 
 impl Process<RecMsg> for RecAgg {
-    fn on_start(&mut self, _ctx: &mut Ctx<RecMsg>) {
-        let layout = self.layout;
-        let n = self.cfg.num_workers;
-        let width = layout.width();
-        self.slots = (0..layout.total_streams())
-            .map(|g| {
-                (self.cfg.shard_of_stream(g) == self.shard && layout.first_block(g, 0).is_some())
-                    .then(|| VSlot {
-                        cols: [
-                            vec![ColPhase::fresh(); width],
-                            vec![ColPhase::fresh(); width],
-                        ],
-                        seen: [vec![false; n], vec![false; n]],
-                        count: [0, 0],
-                        result: [None, None],
-                    })
-            })
-            .collect();
-        self.evicted = vec![false; n];
-        self.last_heard = vec![SimTime::ZERO; n];
+    fn on_start(&mut self, ctx: &mut Ctx<RecMsg>) {
         // Never halts: stays able to retransmit results. The run ends
         // when the queue drains.
+        self.machine.start(ctx.now().as_nanos());
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<RecMsg>, _from: ActorId, msg: RecMsg) {
@@ -756,167 +493,114 @@ impl Process<RecMsg> for RecAgg {
             stream: g,
             ver,
             wid,
-            epoch: _,
+            epoch,
             entries,
         } = msg
         else {
             panic!("aggregator got non-data");
         };
         let v = (ver & 1) as usize;
-        if self.evicted[wid] {
-            // Zombie: in-flight packets from an evicted worker. Its
-            // phase accounting was renormalized without it.
+        let was_busy = self.machine.busy();
+        let first = entries.first().map(|e| e.block as u64);
+        let admit = self
+            .machine
+            .on_data(g, ver, wid, epoch, ctx.now().as_nanos());
+        // Zombies of evicted workers and pre-admission stragglers are
+        // dropped unseen; everything else is keyed like the sender's
+        // PacketTx so the reconstructor pairs tx with rx.
+        if matches!(admit, Admit::Zombie { .. } | Admit::StaleEpoch) {
             return;
         }
-        let now = ctx.now();
-        self.last_heard[wid] = now;
-        if !self.busy {
-            // Idle→busy edge: a new round starts. Restart every
-            // member's liveness clock (silence between rounds must not
-            // count) and arm the eviction sweep.
-            self.busy = true;
-            for t in self.last_heard.iter_mut() {
-                *t = now;
+        if let Some(block) = first {
+            let (now, shard, len) = (
+                ctx.now().as_nanos(),
+                self.shard as u16,
+                entries.len() as u64,
+            );
+            let kind = FlightEventKind::PacketRx;
+            self.flight
+                .record_at(now, kind, 0, block, shard, wid as u16, len);
+        }
+        match admit {
+            Admit::Zombie { .. } | Admit::StaleEpoch => unreachable!(),
+            Admit::Resend(result) => {
+                self.counters.duplicates_ignored.inc();
+                if let Some(result @ RecMsg::Result { entries, .. }) = result {
+                    self.counters.result_retransmissions.inc();
+                    let bytes = msg_bytes(self.cfg.stream_id, entries);
+                    ctx.send(self.workers[wid], result.clone(), bytes);
+                }
+                return;
             }
-            if let Some(timeout) = self.eviction_timeout {
-                let tick = SimTime::from_nanos((timeout.as_nanos() / 4).max(1_000));
+            Admit::Nack => {
+                self.counters.duplicates_ignored.inc();
+                let bytes = msg_bytes(self.cfg.stream_id, &[]);
+                for w in self.machine.missing(g, v) {
+                    self.counters.nacks_sent.inc();
+                    self.record(ctx, FlightEventKind::NackTx, NO_BLOCK, w, 0);
+                    ctx.send(self.workers[w], RecMsg::Nack { stream: g, ver }, bytes);
+                }
+                return;
+            }
+            Admit::Fresh {
+                opened,
+                lateness_ns,
+                ..
+            } => {
+                if let Some(h) = self.counters.contrib_delay.get(wid) {
+                    h.record(lateness_ns);
+                }
+                if let (true, Some(block)) = (opened, first) {
+                    self.record(ctx, FlightEventKind::SlotOccupy, block, wid, v as u64);
+                }
+            }
+        }
+        if !was_busy && self.machine.busy() {
+            // Idle→busy edge: a new round starts; arm the eviction sweep.
+            if let Some(tick) = self.sweep_tick {
                 ctx.set_timer(tick, SWEEP_TOKEN);
             }
         }
-        // Keyed by the first entry's block, mirroring the sender's
-        // PacketTx so the reconstructor pairs tx with rx.
-        if let Some(first) = entries.first() {
-            self.flight.record_at(
-                ctx.now().as_nanos(),
-                FlightEventKind::PacketRx,
-                0,
-                first.block as u64,
-                self.shard as u16,
-                wid as u16,
-                entries.len() as u64,
-            );
-        }
-        let slot = self.slots[g].as_mut().expect("owned stream");
-
-        if slot.seen[v][wid] {
-            // Duplicate: if the phase completed, the worker missed the
-            // result — unicast it back.
-            self.counters.duplicates_ignored.inc();
-            if slot.count[v] == 0 {
-                if let Some(result) = slot.result[v].clone() {
-                    self.counters.result_retransmissions.inc();
-                    let bytes = msg_bytes(self.cfg.stream_id, &result);
-                    ctx.send(
-                        self.workers[wid],
-                        RecMsg::Result {
-                            stream: g,
-                            ver: v as u8,
-                            epoch: self.epoch,
-                            entries: result,
-                        },
-                        bytes,
-                    );
-                }
-            }
-            // Mirror the live engine: a trailing duplicate of a
-            // completed phase opened no work, so the idle→busy edge
-            // above was spurious — clear it, or the armed eviction
-            // sweep re-arms forever and the run never drains.
-            if self.busy && self.fully_idle() {
-                self.busy = false;
-            }
-            return;
-        }
-        slot.seen[v][wid] = true;
-        slot.seen[v ^ 1][wid] = false;
-        slot.count[v] += 1;
-        if slot.count[v] == 1 {
-            for col in slot.cols[v].iter_mut() {
-                *col = ColPhase::fresh();
-            }
-            slot.result[v] = None;
-        }
         for e in &entries {
-            let cp = &mut slot.cols[v][e.col];
-            // Mirror the live engine: acks record the requested block
-            // too, so an all-ack phase (evicted min_next owner) still
-            // emits a chain-advancing result entry.
-            debug_assert!(cp.block.is_none() || cp.block == Some(e.block));
-            cp.block = Some(e.block);
-            if e.values > 0 {
-                cp.values = e.values;
-            }
-            cp.min_next = cp.min_next.min(if e.next == INFINITY_BLOCK {
-                INFINITY_BLOCK as i64
-            } else {
-                e.next as i64
-            });
+            *self.machine.fold(g, ver, e.col, e.block, e.next) |= e.values > 0;
         }
         self.complete_if_ready(ctx, g, v);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<RecMsg>, token: u64) {
         debug_assert_eq!(token, SWEEP_TOKEN);
-        let Some(timeout) = self.eviction_timeout else {
+        let Some(tick) = self.sweep_tick else {
             return;
         };
-        if !self.busy {
+        if !self.machine.busy() {
             // Fully idle: nothing is owed, so nobody can be evicted.
             // Not re-arming lets the event queue drain; the next
             // idle→busy edge re-arms the sweep.
             return;
         }
-        let now = ctx.now();
-        for w in 0..self.cfg.num_workers {
-            if self.evicted[w] || !self.waiting_on(w) {
-                continue;
-            }
-            let idle =
-                SimTime::from_nanos(now.as_nanos().saturating_sub(self.last_heard[w].as_nanos()));
-            if idle <= timeout {
-                continue;
-            }
-            self.evicted[w] = true;
-            self.flight.record_at(
-                now.as_nanos(),
+        while let Some(ev) = self.machine.sweep(ctx.now().as_nanos()) {
+            debug_assert!(!ev.abort, "a membership plan drops workers");
+            self.counters.evictions.inc();
+            self.record(
+                ctx,
                 FlightEventKind::Eviction,
-                0,
                 NO_BLOCK,
-                self.shard as u16,
-                w as u16,
-                idle.as_nanos(),
+                ev.worker,
+                ev.idle_ns,
             );
-            // Eviction is a membership change: bump the epoch so the
-            // survivors' flight lanes record the same `EpochChange`
-            // sequence a live chaos run would.
-            self.epoch = self.epoch.wrapping_add(1);
-            self.flight.record_at(
-                now.as_nanos(),
+            let epoch = self.machine.epoch() as u64;
+            self.record(
+                ctx,
                 FlightEventKind::EpochChange,
-                0,
                 NO_BLOCK,
-                self.shard as u16,
-                w as u16,
-                self.epoch as u64,
+                ev.worker,
+                epoch,
             );
-            // Renormalize in-flight phases without the evicted worker;
-            // idle versions just forget its contribution marker.
-            for g in 0..self.slots.len() {
-                if self.slots[g].is_none() {
-                    continue;
-                }
-                for v in 0..2 {
-                    let slot = self.slots[g].as_mut().expect("owned stream");
-                    if slot.count[v] == 0 {
-                        slot.seen[v][w] = false;
-                    } else {
-                        self.complete_if_ready(ctx, g, v);
-                    }
-                }
+            for (g, v) in self.machine.in_flight() {
+                self.complete_if_ready(ctx, g, v);
             }
         }
-        if self.busy {
-            let tick = SimTime::from_nanos((timeout.as_nanos() / 4).max(1_000));
+        if self.machine.busy() {
             ctx.set_timer(tick, SWEEP_TOKEN);
         }
     }
@@ -999,27 +683,14 @@ pub fn simulate_recovery_allreduce_with_membership(
         assert_eq!(m.depart_at.len(), cfg.num_workers, "plan/worker mismatch");
     }
     assert_eq!(bitmaps.len(), cfg.num_workers);
-    let layout = StreamLayout::new(
-        cfg.block_spec(),
-        cfg.fusion,
-        cfg.total_streams(),
-        cfg.tensor_len,
-    );
     let mut sim: Simulator<RecMsg> = Simulator::new(seed);
     sim.set_threads(threads.max(1));
-    // Debug belt: cap the event budget from the environment so a
-    // protocol livelock panics with the simulated time instead of
-    // spinning silently (pair with OMNIREDUCE_SIM_TRACE to see the
-    // repeating cycle).
-    if let Ok(v) = std::env::var("OMNIREDUCE_SIM_MAX_EVENTS") {
-        if let Ok(n) = v.parse() {
-            sim.set_max_events(n);
-        }
-    }
     if let Some(t) = telemetry {
         sim.attach_telemetry(t.clone());
     }
-    let counters = RecCounters::new(telemetry);
+    let prefix = "core.sim_recovery";
+    let counters = RecoveryCounters::new(telemetry, prefix);
+    let agg_counters = RecoveryAggCounters::new(telemetry, prefix, cfg.num_workers);
     let worker_nics: Vec<_> = (0..cfg.num_workers)
         .map(|_| sim.add_nic(worker_nic.with_loss(loss)))
         .collect();
@@ -1038,56 +709,54 @@ pub fn simulate_recovery_allreduce_with_membership(
         Some(t) => t.flight().lane(name, role, actor),
         None => FlightLane::disabled(),
     };
+    let streams = StreamLayout::new(
+        cfg.block_spec(),
+        cfg.fusion,
+        cfg.total_streams(),
+        cfg.tensor_len,
+    )
+    .total_streams();
     for (w, bm) in bitmaps.iter().enumerate() {
+        let mut machine = RecWorkerMachine::new(cfg, w, rto.policy());
+        machine.start_round(bm.clone());
         sim.add_actor(
             worker_nics[w],
             Box::new(RecWorker {
                 cfg: cfg.clone(),
-                layout,
                 wid: w,
-                bitmap: Arc::new(bm.clone()),
+                machine,
                 shards: shard_ids.clone(),
-                rto_cfg: rto,
-                rtt: (0..cfg.num_aggregators)
-                    .map(|a| {
-                        RttEstimator::new(
-                            Duration::from_nanos(rto.initial.as_nanos()),
-                            Duration::from_nanos(rto.min.as_nanos()),
-                            Duration::from_nanos(rto.max.as_nanos()),
-                            // Deterministic per-(worker, shard) jitter.
-                            0x9E37_79B9_7F4A_7C15 ^ ((w as u64) << 16) ^ a as u64,
-                        )
-                    })
-                    .collect(),
-                streams: Vec::new(),
-                pending: 0,
-                retransmissions: 0,
-                failed: false,
-                epoch: 0,
+                packets: vec![None; streams],
+                timer_gen: vec![0; streams],
                 depart_at: membership.and_then(|m| m.depart_at[w]),
-                departed: false,
+                halted: false,
                 failed_sink: failed_sink.clone(),
                 counters: counters.clone(),
                 flight: flight_lane(&format!("worker{w}"), LaneRole::Worker, w as u16),
             }),
         );
     }
+    // The aggregators run without a standby; a membership plan drops
+    // silent workers after its eviction timeout.
+    let mut agg_cfg = cfg.clone();
+    agg_cfg.hot_standby = false;
+    agg_cfg.degraded_mode = DegradedMode::DropWorker;
+    if let Some(m) = membership {
+        agg_cfg.worker_eviction_timeout = Duration::from_nanos(m.eviction_timeout.as_nanos());
+    }
+    let sweep_tick =
+        membership.map(|m| SimTime::from_nanos((m.eviction_timeout.as_nanos() / 4).max(1_000)));
     for (a, nic) in shard_nics.iter().enumerate() {
         sim.add_actor(
             *nic,
             Box::new(RecAgg {
                 cfg: cfg.clone(),
-                layout,
                 shard: a,
                 workers: worker_ids.clone(),
-                slots: Vec::new(),
-                counters: counters.clone(),
+                machine: RecAggMachine::new(&agg_cfg, a, false, || false),
+                counters: agg_counters.clone(),
                 flight: flight_lane(&format!("agg{a}"), LaneRole::Aggregator, a as u16),
-                epoch: 0,
-                evicted: Vec::new(),
-                last_heard: Vec::new(),
-                busy: false,
-                eviction_timeout: membership.map(|m| m.eviction_timeout),
+                sweep_tick,
             }),
         );
     }

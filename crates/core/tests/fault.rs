@@ -516,6 +516,49 @@ fn failover_replay_reproduces_stats_and_telemetry_exactly() {
     });
 }
 
+/// Regression: after a failover, a timer retransmission must go to the
+/// standby, not back to the dead primary. Both workers' first
+/// post-failover packet to the standby is dropped, so nothing but a
+/// retransmission to the standby can finish the lost phases; the output
+/// must equal the uninterrupted run, and the post-failover arms must
+/// keep the `core.recovery.rto_ns` gauge current.
+#[test]
+fn post_failover_retransmission_targets_the_standby() {
+    with_deadline(Duration::from_secs(120), || {
+        let n = 2;
+        let cfg = failover_cfg(n, 512);
+        let inputs = gen_inputs(n, 512, 71);
+        let base = run_chaos(&cfg, &FaultPlan::new(1), &inputs, None);
+        let standby = cfg.standby_node(0);
+        let plan = FaultPlan::new(73)
+            .crash_after(cfg.aggregator_node(0), 3)
+            .partition(cfg.worker_node(0), standby, 0, 1)
+            .partition(cfg.worker_node(1), standby, 0, 1);
+        let telemetry = Telemetry::new();
+        let out = run_chaos(&cfg, &plan, &inputs, Some(&telemetry));
+        for (w, o) in out.workers.iter().enumerate() {
+            assert!(o.result.is_ok(), "worker {w}: {:?}", o.result);
+            assert_eq!(o.stats.failovers, 1, "worker {w} must fail over once");
+            let diff = o.output.max_abs_diff(&base.workers[w].output);
+            assert_eq!(diff, 0.0, "worker {w}: output differs by {diff}");
+        }
+        let snap = telemetry.snapshot();
+        assert!(
+            snap.counter("transport.fault.partition_drops") >= 2,
+            "the plan must drop the first packets to the standby"
+        );
+        let rto_ns = snap
+            .gauges
+            .get("core.recovery.rto_ns")
+            .copied()
+            .unwrap_or(0);
+        assert!(
+            (cfg.rto_min.as_nanos() as u64..=cfg.rto_max.as_nanos() as u64).contains(&rto_ns),
+            "rto_ns gauge {rto_ns} outside the RTO bounds"
+        );
+    });
+}
+
 /// Acceptance (sharded): crashing one shard's primary mid-stream while
 /// the other shard stays healthy completes via that shard's standby,
 /// bit-identical to the uninterrupted sharded run.

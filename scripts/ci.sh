@@ -113,6 +113,15 @@ step "differential (workspace engines, per-shard bytes)" \
 step "proto schedules (thread-free Algorithm 1 machines)" \
   cargo test "${CARGO_FLAGS[@]}" -p omnireduce-core --test proto_schedules -q
 
+# Algorithm 2 schedule exploration: RecWorkerMachine/RecAggMachine over
+# per-link FIFO links with seeded drops and duplicates, timers on a
+# virtual clock, every scenario point bit-identical to the scalar oracle
+# within a delivery budget (clean schedules also match
+# run_recovery_group's per-shard bytes), plus the scripted evict → join
+# → rejoin schedule. Thread-free and clock-free: no timeout belt.
+step "proto recovery schedules (thread-free Algorithm 2 machines)" \
+  cargo test "${CARGO_FLAGS[@]}" -p omnireduce-core --test proto_recovery_schedules -q
+
 # Flight-recorder suite (§11 observability): chaos runs with the
 # recorder on must stay bit-identical to recorder-off runs, the
 # reconstructor must recover every round, and the seeded straggler /
